@@ -1,7 +1,7 @@
 """Exact arithmetic for Hurwitz class numbers and their restricted sums.
 
 The package computes H(n) by reduced-form enumeration, manipulates
-q-expansions over exact rationals with the U/V/sieve/twist/bracket
+q-expansions exactly (integer numerators over one denominator) with the U/V/sieve/twist/bracket
 operator calculus, verifies the weight-2 identities that evaluate the
 congruence-restricted sums H_{m,6}(p) and H_{m,8}(p) in closed form, and
 cross-checks everything against brute force and an independent
@@ -24,7 +24,6 @@ from .numtheory import (
     CHI_MINUS4,
     DirichletCharacter,
     PrimeRepresentation,
-    char_eval,
     is_prime,
     kronecker_symbol,
     represent,
@@ -69,7 +68,6 @@ __all__ = [
     "QSeries",
     "TraceDistribution",
     "build_table",
-    "char_eval",
     "cross_check",
     "d_series",
     "e2_series",

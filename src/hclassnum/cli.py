@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -165,8 +166,9 @@ def _parse_form(name: str, terms: int) -> QSeries:
     raise UsageError(f"unknown form {name!r}")
 
 
-def _series_lines(series: QSeries) -> list[str]:
-    return series.to_text().splitlines()
+def _series_lines(values: Iterable[Fraction]) -> list[str]:
+    """Text output, one line per coefficient: "n:numerator/denominator"."""
+    return [f"{n}:{v.numerator}/{v.denominator}" for n, v in enumerate(values)]
 
 
 def _cmd_hurwitz(config: CliConfig) -> int:
@@ -181,8 +183,7 @@ def _cmd_hurwitz_table(config: CliConfig) -> int:
         raise UsageError("--limit must be >= 1")
     table = table_at_least(limit)
     values = [Fraction(table.values12[n], 12) for n in range(limit)]
-    lines = [f"{n}:{v.numerator}/{v.denominator}" for n, v in enumerate(values)]
-    _emit(config, [str(v) for v in values], [], lines)
+    _emit(config, [str(v) for v in values], [], _series_lines(values))
     return 0
 
 
@@ -191,7 +192,7 @@ def _cmd_qexp(config: CliConfig) -> int:
     if terms < 1:
         raise UsageError("--terms must be >= 1")
     series = _parse_form(config.params["form"], terms)
-    _emit(config, series.to_strings(), [], _series_lines(series))
+    _emit(config, series.to_strings(), [], _series_lines(series.coeffs))
     return 0
 
 
@@ -211,7 +212,7 @@ def _cmd_lattice_sum(config: CliConfig) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     series = build_series(spec, params["terms"])
-    _emit(config, series.to_strings(), [], _series_lines(series))
+    _emit(config, series.to_strings(), [], _series_lines(series.coeffs))
     return 0
 
 

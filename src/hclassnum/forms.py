@@ -45,7 +45,7 @@ def theta_mM(m: int, M: int, precision: int) -> QSeries:
     for n in range(-nmax, nmax + 1):
         if (n - m) % M == 0:
             coeffs[n * n] += 1
-    return QSeries(coeffs, weight_hint=Fraction(1, 2))
+    return QSeries._from_numerators(coeffs, 1, weight_hint=Fraction(1, 2))
 
 
 def theta0(precision: int) -> QSeries:
@@ -57,12 +57,10 @@ def theta_weighted(chi: DirichletCharacter, precision: int) -> QSeries:
     """(1/2) sum over x in Z of chi(x) x q^(x^2)."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    coeffs = [Fraction(0)] * precision
+    num2 = [0] * precision  # accumulate twice the coefficients to stay integral
     for x in range(-isqrt(precision - 1), isqrt(precision - 1) + 1):
-        cx = chi(x)
-        if cx:
-            coeffs[x * x] += cx * x
-    return QSeries((c / 2 for c in coeffs), weight_hint=Fraction(3, 2))
+        num2[x * x] += int(chi(x)) * x
+    return QSeries._from_numerators(num2, 2, weight_hint=Fraction(3, 2))
 
 
 def psi_series(k: int, chi: DirichletCharacter, precision: int) -> QSeries:
@@ -79,19 +77,19 @@ def psi_series(k: int, chi: DirichletCharacter, precision: int) -> QSeries:
         raise ValueError("psi_series needs an odd character")
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    coeffs = [Fraction(0)] * precision
+    num2 = [0] * precision  # accumulate twice the coefficients to stay integral
     xmax = isqrt(precision - 1)
     for x in range(-xmax, xmax + 1):
-        cx = chi(x) * x
+        cx = int(chi(x)) * x
         if not cx:
             continue
         xx = x * x
         ymax = isqrt((precision - 1 - xx) // k)
         for y in range(-ymax, ymax + 1):
-            coeffs[xx + k * y * y] += cx
-    enumerated = QSeries((c / 2 for c in coeffs), weight_hint=2)
+            num2[xx + k * y * y] += cx
+    enumerated = QSeries._from_numerators(num2, 2, weight_hint=2)
     product = theta_weighted(chi, precision) * theta0(precision).v_operator(k)
-    if enumerated.coeffs != product.truncate(precision).coeffs:
+    if enumerated != product:
         raise RuntimeError("psi_series self-check failed: enumeration != product")
     return enumerated
 
@@ -108,7 +106,7 @@ def d_series(precision: int) -> QSeries:
     """Divisor-sum series sum_{n>=1} sigma(n) q^n."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    return QSeries(_sigma_table(precision), weight_hint=2)
+    return QSeries._from_numerators(_sigma_table(precision), 1, weight_hint=2)
 
 
 def e2_series(precision: int) -> QSeries:
@@ -117,4 +115,4 @@ def e2_series(precision: int) -> QSeries:
         raise ValueError("precision must be >= 1")
     coeffs = [-24 * s for s in _sigma_table(precision)]
     coeffs[0] = 1
-    return QSeries(coeffs, weight_hint=2)
+    return QSeries._from_numerators(coeffs, 1, weight_hint=2)

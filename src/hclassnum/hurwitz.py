@@ -105,9 +105,8 @@ def hurwitz(n: int) -> Fraction:
 def hurwitz_series(precision: int) -> QSeries:
     """Generating series sum H(n) q^n to the requested precision."""
     table = table_at_least(precision)
-    return QSeries(
-        (Fraction(table.values12[n], 12) for n in range(precision)),
-        weight_hint=Fraction(3, 2),
+    return QSeries._from_numerators(
+        table.values12[:precision], 12, weight_hint=Fraction(3, 2)
     )
 
 

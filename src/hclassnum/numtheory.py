@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "is_prime",
@@ -19,7 +19,6 @@ __all__ = [
     "sigma",
     "kronecker_symbol",
     "DirichletCharacter",
-    "char_eval",
     "CHI_MINUS3",
     "CHI_MINUS4",
     "CHI_KRON8",
@@ -152,36 +151,32 @@ def kronecker_symbol(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A real Dirichlet character, evaluated exactly as a Fraction.
+    """A real Dirichlet character with values in {-1, 0, 1}.
 
     kind is one of:
       * "principal": 1 on residues coprime to the modulus, 0 elsewhere;
-      * "kronecker": n -> kronecker_symbol(disc, n), for disc = 0, 1 (mod 4)
-        so that the symbol is periodic with period |disc| (e.g. -3, -4, 8);
-      * "table": explicit values per residue class.
+      * "kronecker": n -> kronecker_symbol(disc, n) on residues coprime to
+        the modulus, for disc = 0, 1 (mod 4), disc != 0, so that the symbol
+        is periodic with period |disc| (e.g. -3, -4, 8).
+
+    Calling the character returns an exact Fraction; residue_values gives
+    the same values as plain ints over one period.
     """
 
     modulus: int
     kind: str
     disc: int | None = None
-    values: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
-        if self.kind not in ("principal", "kronecker", "table"):
+        if self.kind not in ("principal", "kronecker"):
             raise ValueError(f"unknown character kind {self.kind!r}")
         if self.kind == "kronecker":
-            if self.disc is None:
-                raise ValueError("kronecker kind needs a discriminant")
+            if not self.disc:
+                raise ValueError("kronecker kind needs a nonzero discriminant")
             if self.disc % 4 not in (0, 1):
                 raise ValueError("kronecker discriminant must be 0 or 1 mod 4")
-        if self.kind == "table":
-            if self.values is None or len(self.values) != self.modulus:
-                raise ValueError("table kind needs one value per residue")
-            for r, v in enumerate(self.values):
-                if gcd(r, self.modulus) != 1 and v != 0:
-                    raise ValueError("table must vanish off the unit group")
 
     @classmethod
     def principal(cls, modulus: int) -> "DirichletCharacter":
@@ -192,28 +187,30 @@ class DirichletCharacter:
         return cls(modulus=abs(disc) if modulus is None else modulus,
                    kind="kronecker", disc=disc)
 
-    @classmethod
-    def from_table(cls, values) -> "DirichletCharacter":
-        vals = tuple(Fraction(v) for v in values)
-        return cls(modulus=len(vals), kind="table", values=vals)
+    @property
+    def period(self) -> int:
+        """A period of n -> chi(n) on the integers."""
+        if self.kind == "kronecker":
+            return lcm(self.modulus, abs(self.disc))
+        return self.modulus
+
+    def _value(self, n: int) -> int:
+        if gcd(n, self.modulus) != 1:
+            return 0
+        if self.kind == "principal":
+            return 1
+        return kronecker_symbol(self.disc, n)
 
     def __call__(self, n: int) -> Fraction:
-        if gcd(n, self.modulus) != 1:
-            return Fraction(0)
-        if self.kind == "principal":
-            return Fraction(1)
-        if self.kind == "kronecker":
-            return Fraction(kronecker_symbol(self.disc, n))
-        return self.values[n % self.modulus]
+        return Fraction(self._value(n))
+
+    def residue_values(self) -> tuple[int, ...]:
+        """chi(0), chi(1), ..., chi(period - 1) as ints."""
+        return tuple(self._value(r) for r in range(self.period))
 
     def is_odd(self) -> bool:
         """True when chi(-1) = -1."""
         return self(-1) == -1
-
-
-def char_eval(chi: DirichletCharacter, n: int) -> Fraction:
-    """Evaluate a character; front-end over DirichletCharacter.__call__."""
-    return chi(n)
 
 
 #: non-principal character mod 3 (odd)

@@ -1,4 +1,4 @@
-"""Truncated q-expansions over exact rationals, plus the operator calculus.
+"""Truncated q-expansions with exact rational coefficients, plus the operator calculus.
 
 A QSeries holds the coefficients a(0), ..., a(P-1) of sum a(n) q^n exactly
 and claims nothing past its precision P.  Every operation produces the
@@ -6,6 +6,14 @@ strongest precision its inputs support and never more, and coefficient
 access outside the known range raises instead of padding with zeros.
 Silent zeros are the classic way a coefficient comparison quietly stops
 comparing anything, so they are banned.
+
+Internally a series is a tuple of Python-int numerators over one positive
+common denominator, reduced so that the denominator and the numerators
+share no factor.  That form is canonical: equal series have equal
+numerators and denominators, so equality and hashing compare them
+directly.  All arithmetic runs on the integers; `fractions.Fraction`
+appears only at the API edge (construction from rationals, `s[n]`,
+`coeffs`, `to_strings`), and floats are rejected outright.
 
 Operators:
   * u_operator(m): b(n) = a(m*n), the index-extraction operator U_m;
@@ -18,16 +26,16 @@ Operators:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Iterator, Union
+from itertools import repeat
+from math import factorial, gcd, lcm
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence, Union
 
 from .numtheory import DirichletCharacter
 
 __all__ = ["QSeries", "Rational", "half_binomial", "rankin_cohen"]
 
 Rational = Union[int, Fraction]
-
-_ZERO = Fraction(0)
 
 
 def _as_fraction(value: Rational) -> Fraction:
@@ -39,91 +47,121 @@ def _as_fraction(value: Rational) -> Fraction:
 class QSeries:
     """sum_{0 <= n < P} a(n) q^n with exact rational a(n) and precision P.
 
-    Instances are immutable; all operations allocate fresh series.  The
-    optional weight_hint is metadata only (picked up by rankin_cohen when
-    weights are not passed explicitly).
+    Stored as integer numerators over one positive denominator in lowest
+    terms; a(n) = numerators[n] / den.  Instances are immutable; all
+    operations allocate fresh series.  The optional weight_hint is metadata
+    only (picked up by rankin_cohen when weights are not passed explicitly).
     """
 
-    __slots__ = ("_coeffs", "weight_hint")
+    __slots__ = ("_nums", "_den", "weight_hint")
 
     def __init__(self, coeffs: Iterable[Rational], weight_hint: Rational | None = None):
-        cs = tuple(_as_fraction(c) for c in coeffs)
+        cs = [_as_fraction(c) for c in coeffs]
         if not cs:
             raise ValueError("a series needs at least one known coefficient")
-        self._coeffs = cs
+        # every c is in lowest terms, so nothing divides the lcm of the
+        # denominators and all the scaled numerators at once
+        den = lcm(*(c.denominator for c in cs))
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
         self.weight_hint = None if weight_hint is None else _as_fraction(weight_hint)
+
+    @classmethod
+    def _from_numerators(
+        cls, nums: Sequence[int], den: int = 1, weight_hint: Rational | None = None
+    ) -> "QSeries":
+        """The series nums[n] / den, brought to lowest terms; den must be > 0."""
+        if not nums:
+            raise ValueError("a series needs at least one known coefficient")
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [c // g for c in nums]
+            den //= g
+        self = cls.__new__(cls)
+        self._nums = tuple(nums)
+        self._den = den
+        self.weight_hint = None if weight_hint is None else _as_fraction(weight_hint)
+        return self
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def zero(cls, precision: int, weight_hint: Rational | None = None) -> "QSeries":
-        return cls([_ZERO] * precision, weight_hint=weight_hint)
+        return cls._from_numerators([0] * precision, 1, weight_hint)
 
     @classmethod
     def monomial(cls, exponent: int, precision: int, coeff: Rational = 1) -> "QSeries":
         if not 0 <= exponent < precision:
             raise ValueError("monomial exponent outside requested precision")
-        cs = [_ZERO] * precision
-        cs[exponent] = _as_fraction(coeff)
-        return cls(cs)
+        c = _as_fraction(coeff)
+        nums = [0] * precision
+        nums[exponent] = c.numerator
+        return cls._from_numerators(nums, c.denominator)
 
     # -- basic protocol --------------------------------------------------------
 
     @property
     def precision(self) -> int:
-        return len(self._coeffs)
+        return len(self._nums)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._nums)
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._nums)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coeffs)
+        return iter(self.coeffs)
 
     def __getitem__(self, n: int) -> Fraction:
         if not isinstance(n, int):
             raise TypeError("coefficient index must be an integer")
-        if n < 0 or n >= len(self._coeffs):
+        if n < 0 or n >= len(self._nums):
             raise IndexError(
-                f"coefficient {n} outside known range [0, {len(self._coeffs)})"
+                f"coefficient {n} outside known range [0, {len(self._nums)})"
             )
-        return self._coeffs[n]
+        return Fraction(self._nums[n], self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self._coeffs[:6])
-        tail = ", ..." if len(self._coeffs) > 6 else ""
-        return f"QSeries([{head}{tail}], precision={len(self._coeffs)})"
+        head = ", ".join(str(c) for c in self.coeffs[:6])
+        tail = ", ..." if len(self._nums) > 6 else ""
+        return f"QSeries([{head}{tail}], precision={len(self._nums)})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
+        return not any(self._nums)
 
     def truncate(self, precision: int) -> "QSeries":
         """Restrict to the first `precision` coefficients (never extend)."""
-        if precision < 1 or precision > len(self._coeffs):
+        if precision < 1 or precision > len(self._nums):
             raise ValueError("can only truncate within the known range")
-        return QSeries(self._coeffs[:precision], weight_hint=self.weight_hint)
+        return QSeries._from_numerators(
+            self._nums[:precision], self._den, self.weight_hint
+        )
 
     # -- linear structure -------------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        p = min(len(self._coeffs), len(other._coeffs))
+        p = min(len(self._nums), len(other._nums))
+        den = lcm(self._den, other._den)
+        a, b = self._nums[:p], other._nums[:p]
+        if den != self._den:
+            a = map(mul, repeat(den // self._den), a)
+        if den != other._den:
+            b = map(mul, repeat(den // other._den), b)
         hint = self.weight_hint if self.weight_hint == other.weight_hint else None
-        return QSeries(
-            (self._coeffs[n] + other._coeffs[n] for n in range(p)), weight_hint=hint
-        )
+        return QSeries._from_numerators(list(map(add, a, b)), den, hint)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -131,7 +169,9 @@ class QSeries:
         return self + (-other)
 
     def __neg__(self) -> "QSeries":
-        return QSeries((-c for c in self._coeffs), weight_hint=self.weight_hint)
+        return QSeries._from_numerators(
+            [-c for c in self._nums], self._den, self.weight_hint
+        )
 
     def __mul__(self, other: Union["QSeries", Rational]) -> "QSeries":
         if isinstance(other, QSeries):
@@ -143,28 +183,27 @@ class QSeries:
 
     def _scale(self, c: Rational) -> "QSeries":
         c = _as_fraction(c)
-        return QSeries((c * a for a in self._coeffs), weight_hint=self.weight_hint)
+        return QSeries._from_numerators(
+            [c.numerator * a for a in self._nums],
+            c.denominator * self._den,
+            self.weight_hint,
+        )
 
     def _cauchy(self, other: "QSeries") -> "QSeries":
-        p = min(len(self._coeffs), len(other._coeffs))
-        a, b = self._coeffs, other._coeffs
+        p = min(len(self._nums), len(other._nums))
+        a, b = self._nums[:p], other._nums[:p]
         # run the sparser factor on the outside; the big products here are
         # theta-like series with O(sqrt(P)) support
-        if sum(1 for c in a[:p] if c) > sum(1 for c in b[:p] if c):
+        if a.count(0) < b.count(0):
             a, b = b, a
-        out = [_ZERO] * p
-        for i in range(p):
-            ci = a[i]
-            if not ci:
-                continue
-            for j in range(p - i):
-                cj = b[j]
-                if cj:
-                    out[i + j] += ci * cj
+        out = [0] * p
+        for i, ci in enumerate(a):
+            if ci:
+                out[i:] = map(add, out[i:], map(mul, repeat(ci), b))
         hint = None
         if self.weight_hint is not None and other.weight_hint is not None:
             hint = self.weight_hint + other.weight_hint
-        return QSeries(out, weight_hint=hint)
+        return QSeries._from_numerators(out, self._den * other._den, hint)
 
     # -- the operator calculus ---------------------------------------------------
 
@@ -172,71 +211,50 @@ class QSeries:
         """Index extraction: b(n) = a(m*n).  Precision ceil(P/m)."""
         if m < 1:
             raise ValueError("U-operator index must be >= 1")
-        out_p = -(-len(self._coeffs) // m)
-        return QSeries(
-            (self._coeffs[n * m] for n in range(out_p)), weight_hint=self.weight_hint
-        )
+        return QSeries._from_numerators(self._nums[::m], self._den, self.weight_hint)
 
     def v_operator(self, m: int) -> "QSeries":
         """Dilation q -> q^m: b(m*n) = a(n), 0 between.  Precision m*(P-1)+1."""
         if m < 1:
             raise ValueError("V-operator index must be >= 1")
-        out = [_ZERO] * (m * (len(self._coeffs) - 1) + 1)
-        for n, c in enumerate(self._coeffs):
-            out[n * m] = c
-        return QSeries(out, weight_hint=self.weight_hint)
+        out = [0] * (m * (len(self._nums) - 1) + 1)
+        out[::m] = self._nums
+        return QSeries._from_numerators(out, self._den, self.weight_hint)
 
     def sieve(self, modulus: int, residue: int) -> "QSeries":
         """Keep exactly the coefficients with n = residue (mod modulus)."""
         if modulus < 1:
             raise ValueError("sieve modulus must be >= 1")
         r = residue % modulus
-        return QSeries(
-            (c if n % modulus == r else _ZERO for n, c in enumerate(self._coeffs)),
-            weight_hint=self.weight_hint,
-        )
+        out = [0] * len(self._nums)
+        out[r::modulus] = self._nums[r::modulus]
+        return QSeries._from_numerators(out, self._den, self.weight_hint)
 
     def twist(self, chi: DirichletCharacter) -> "QSeries":
         """Coefficientwise twist: b(n) = chi(n) * a(n)."""
-        return QSeries(
-            (chi(n) * c if c else _ZERO for n, c in enumerate(self._coeffs)),
-            weight_hint=self.weight_hint,
-        )
+        period = chi.period
+        out = [0] * len(self._nums)
+        for r, v in enumerate(chi.residue_values()):
+            if v == 1:
+                out[r::period] = self._nums[r::period]
+            elif v == -1:
+                out[r::period] = [-c for c in self._nums[r::period]]
+        return QSeries._from_numerators(out, self._den, self.weight_hint)
 
     def q_derive(self, order: int = 1) -> "QSeries":
         """Normalized derivative (q d/dq)^order: b(n) = n^order * a(n)."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
         hint = None if self.weight_hint is None else self.weight_hint + 2 * order
-        return QSeries(
-            (c * n**order if c else _ZERO for n, c in enumerate(self._coeffs)),
-            weight_hint=hint,
+        return QSeries._from_numerators(
+            [c * n**order for n, c in enumerate(self._nums)], self._den, hint
         )
 
     # -- serialization -------------------------------------------------------------
 
-    def to_text(self) -> str:
-        """One line per known coefficient: "n:numerator/denominator"."""
-        return "\n".join(
-            f"{n}:{c.numerator}/{c.denominator}" for n, c in enumerate(self._coeffs)
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "QSeries":
-        entries: dict[int, Fraction] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            idx, _, val = line.partition(":")
-            entries[int(idx)] = Fraction(val)
-        if not entries or sorted(entries) != list(range(len(entries))):
-            raise ValueError("text serialization must cover 0..P-1 exactly")
-        return cls(entries[n] for n in range(len(entries)))
-
     def to_strings(self) -> list[str]:
         """Canonical rational strings: "p/q", or just "p" for integers."""
-        return [str(c) for c in self._coeffs]
+        return [str(c) for c in self.coeffs]
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "QSeries":
@@ -289,4 +307,4 @@ def rankin_cohen(
         if not c:
             continue
         total = total + c * (f1.q_derive(j) * f2.q_derive(k - j))
-    return QSeries(total.coeffs, weight_hint=w1 + w2 + 2 * k)
+    return QSeries._from_numerators(total._nums, total._den, w1 + w2 + 2 * k)

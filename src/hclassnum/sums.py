@@ -165,7 +165,7 @@ def lambda_series(ell: int, m: int, M: int, precision: int) -> QSeries:
             if w:
                 num2[d * e] += d**ell * w * (1 if e == d else 2)
         d += 1
-    return QSeries(Fraction(c, 2) for c in num2)
+    return QSeries._from_numerators(num2, 2)
 
 
 def mu_series(ell: int, a: int, b: int, M: int, precision: int) -> QSeries:
@@ -187,7 +187,7 @@ def mu_series(ell: int, a: int, b: int, M: int, precision: int) -> QSeries:
             if (t - a) % M == 0 and (s - b) % M == 0:
                 coeffs[n] += d**ell
         d += 1
-    return QSeries(coeffs)
+    return QSeries._from_numerators(coeffs)
 
 
 def g_series(ell: int, m: int, M: int, precision: int) -> QSeries:
@@ -203,7 +203,7 @@ def g_series(ell: int, m: int, M: int, precision: int) -> QSeries:
             for n in range(d * (d + 1), precision, d):
                 coeffs[n] += dl
         d += 1
-    return QSeries(coeffs)
+    return QSeries._from_numerators(coeffs)
 
 
 def t_series(ell: int, m: int, M: int, precision: int) -> QSeries:
@@ -215,7 +215,7 @@ def t_series(ell: int, m: int, M: int, precision: int) -> QSeries:
         w = _branch_weight(n, m, M)
         if w:
             coeffs[n * n] += n**ell * w
-    return QSeries(coeffs)
+    return QSeries._from_numerators(coeffs)
 
 
 def lambda_u4_twist(ell: int, m: int, M: int, precision: int) -> QSeries:

@@ -256,7 +256,7 @@ def verify_identity(spec: IdentitySpec, overshoot: int = 4) -> IdentityReport:
     precision = overshoot * bound + 1
     lhs = identity_lhs(spec, precision)
     rhs = identity_rhs(spec, precision)
-    mismatches = [
+    mismatches = [] if lhs == rhs else [
         (n, lhs[n], rhs[n]) for n in range(precision) if lhs[n] != rhs[n]
     ]
     return IdentityReport(
@@ -302,12 +302,13 @@ def verify_lemmas(n_max: int = 600) -> CheckReport:
                 closed = lambda_u4_twist(ell, m, M, n_max)
                 if m % 2 and not closed.is_zero():
                     mismatches.append(("lambda-odd-m-nonzero", M, ell, m))
-                for n in range(n_max):
-                    checked += 1
-                    if literal[n] != closed[n]:
-                        mismatches.append(
-                            ("lambda", M, ell, m, n, literal[n], closed[n])
-                        )
+                checked += n_max
+                if literal != closed:
+                    mismatches.extend(
+                        ("lambda", M, ell, m, n, literal[n], closed[n])
+                        for n in range(n_max)
+                        if literal[n] != closed[n]
+                    )
     for M in (6, 8):
         for ell in (0, 1, 3):
             for n in range(1, n_max + 1):

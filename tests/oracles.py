@@ -2,8 +2,8 @@
 
 These deliberately avoid the production code paths: class numbers come from
 a box scan plus canonical reduction instead of direct reduced enumeration,
-brackets from a literal double sum instead of the operator pipeline, and
-primality from trial division.
+brackets and products from literal double sums over Fractions instead of
+the integer operator pipeline, and primality from trial division.
 """
 from __future__ import annotations
 
@@ -90,6 +90,19 @@ def bracket_naive(a: list[Fraction], k1: Fraction, b: list[Fraction],
             for l in range(p - i):
                 if b[l]:
                     out[i + l] += c * a[i] * b[l] * i**j * l ** (k - j)
+    return out
+
+
+def cauchy_naive(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Truncated product of two coefficient lists, one Fraction at a time."""
+    p = min(len(a), len(b))
+    out = [Fraction(0)] * p
+    for i in range(p):
+        if not a[i]:
+            continue
+        for j in range(p - i):
+            if b[j]:
+                out[i + j] += a[i] * b[j]
     return out
 
 

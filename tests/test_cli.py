@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 from hclassnum.cli import canonical_json, run
 
@@ -43,6 +44,23 @@ def test_hurwitz_table_text(capsys):
     code, out, _ = invoke(capsys, "hurwitz-table", "--limit", "5")
     assert code == 0
     assert out.splitlines() == ["0:-1/12", "1:0/1", "2:0/1", "3:1/3", "4:1/2"]
+
+
+def test_series_text_format(capsys):
+    # one "n:numerator/denominator" line per coefficient, denominator always
+    # written, matching the JSON coefficients exactly
+    argv = ["lattice-sum", "--variant", "lambda", "--ell", "0", "--m", "1",
+            "--modulus", "6", "--terms", "4"]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == ["0:0/1", "1:1/2", "2:0/1", "3:0/1"]
+    code, out, _ = invoke(capsys, "qexp", "--form", "E2", "--terms", "3")
+    assert out.splitlines() == ["0:1/1", "1:-24/1", "2:-72/1"]
+    for argv in (argv, ["hurwitz-table", "--limit", "9"]):
+        _, text, _ = invoke(capsys, *argv)
+        _, js, _ = invoke(capsys, *argv, "--format", "json")
+        parsed = [Fraction(line.partition(":")[2]) for line in text.splitlines()]
+        assert [str(c) for c in parsed] == json.loads(js)["result"]
 
 
 def test_qexp_psi3(capsys):

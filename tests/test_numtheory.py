@@ -9,7 +9,6 @@ from hclassnum.numtheory import (
     CHI_MINUS4,
     DirichletCharacter,
     PrimeRepresentation,
-    char_eval,
     divisors,
     euler_phi,
     is_prime,
@@ -59,10 +58,10 @@ def test_kronecker_multiplicative_in_bottom(a, b1, b2):
 
 def test_characters_match_kronecker_and_tables():
     for n in range(1, 10**4 + 1):
-        v3 = char_eval(CHI_MINUS3, n)
+        v3 = CHI_MINUS3(n)
         assert v3 == kronecker_symbol(-3, n)
         assert v3 == _CHI3_TABLE[n % 3]
-        v4 = char_eval(CHI_MINUS4, n)
+        v4 = CHI_MINUS4(n)
         assert v4 == kronecker_symbol(-4, n)
         assert v4 == _CHI4_TABLE[n % 4]
 
@@ -89,23 +88,31 @@ def test_character_complete_multiplicativity(chi, a, b):
 
 def test_principal_character():
     chi6 = DirichletCharacter.principal(6)
-    assert char_eval(chi6, 35) == 1
-    assert char_eval(chi6, 4) == 0
-    assert char_eval(CHI_MINUS4, 2) == 0
-    assert char_eval(CHI_MINUS3, -1) == -1
+    assert chi6(35) == 1
+    assert chi6(4) == 0
+    assert CHI_MINUS4(2) == 0
+    assert CHI_MINUS3(-1) == -1
     for n in range(-30, 30):
         assert chi6(n) == (1 if gcd(n, 6) == 1 else 0)
 
 
-def test_table_character_matches_kronecker5():
-    chi5 = DirichletCharacter.from_table([0, 1, -1, -1, 1])
+def test_kronecker5_character_matches_residue_table():
+    chi5 = DirichletCharacter.from_kronecker(5)
+    assert chi5.residue_values() == (0, 1, -1, -1, 1)
     for n in range(-100, 100):
         assert chi5(n) == kronecker_symbol(5, n)
+        assert chi5(n) == chi5.residue_values()[n % chi5.period]
 
 
-def test_table_character_rejects_nonzero_off_units():
+def test_kronecker5_character_vanishes_off_units_of_its_modulus():
+    chi = DirichletCharacter.from_kronecker(5, modulus=10)
+    assert chi.period == 10
+    for n in range(-30, 30):
+        want = 0 if gcd(n, 10) != 1 else kronecker_symbol(5, n)
+        assert chi(n) == want
+        assert chi(n) == chi.residue_values()[n % 10]
     with pytest.raises(ValueError):
-        DirichletCharacter.from_table([1, 1, 0, 0])
+        DirichletCharacter.from_kronecker(0, modulus=5)
 
 
 def test_kronecker_kind_needs_good_discriminant():

@@ -8,7 +8,7 @@ from hclassnum.forms import theta0, theta_mM
 from hclassnum.hurwitz import hurwitz_series
 from hclassnum.numtheory import CHI_KRON8, CHI_MINUS3, CHI_MINUS4, DirichletCharacter
 from hclassnum.qseries import QSeries, half_binomial, rankin_cohen
-from oracles import bracket_naive, r2_lattice
+from oracles import bracket_naive, cauchy_naive, r2_lattice
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 series = st.builds(QSeries, st.lists(rationals, min_size=1, max_size=25))
@@ -167,6 +167,78 @@ def test_q_derive_examples():
     assert f.q_derive(1).q_derive(1) == f.q_derive(2)
 
 
+# -- against per-coefficient Fraction references --------------------------------
+
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+wide_series = st.builds(QSeries, st.lists(wide_rationals, min_size=1, max_size=25))
+characters = st.sampled_from([
+    CHI_MINUS3, CHI_MINUS4, CHI_KRON8,
+    DirichletCharacter.principal(6), DirichletCharacter.from_kronecker(5),
+    DirichletCharacter.from_kronecker(-3, modulus=6),
+])
+
+
+def fracs(f):
+    return list(f.coeffs)
+
+
+@given(wide_series, wide_series)
+def test_mul_matches_fraction_double_loop(f, g):
+    assert fracs(f * g) == cauchy_naive(fracs(f), fracs(g))
+
+
+@given(wide_series, wide_series)
+def test_add_and_sub_match_fraction_reference(f, g):
+    p = min(f.precision, g.precision)
+    assert fracs(f + g) == [a + b for a, b in zip(fracs(f)[:p], fracs(g)[:p])]
+    assert fracs(f - g) == [a - b for a, b in zip(fracs(f)[:p], fracs(g)[:p])]
+    assert fracs(-f) == [-a for a in fracs(f)]
+
+
+@given(wide_series, wide_rationals)
+def test_scalar_mul_matches_fraction_reference(f, c):
+    assert fracs(c * f) == [c * a for a in fracs(f)]
+    assert fracs(f * c) == [c * a for a in fracs(f)]
+
+
+@given(wide_series, characters)
+def test_twist_matches_fraction_reference(f, chi):
+    assert fracs(f.twist(chi)) == [chi(n) * a for n, a in enumerate(fracs(f))]
+
+
+@given(wide_series, moduli, st.integers(-10, 10))
+def test_sieve_matches_fraction_reference(f, m, r):
+    want = [a if (n - r) % m == 0 else 0 for n, a in enumerate(fracs(f))]
+    assert fracs(f.sieve(m, r)) == want
+
+
+@given(wide_series, moduli)
+def test_u_and_v_match_fraction_reference(f, m):
+    a = fracs(f)
+    assert fracs(f.u_operator(m)) == [a[m * n] for n in range(-(-len(a) // m))]
+    want = [a[n // m] if n % m == 0 else 0 for n in range(m * (len(a) - 1) + 1)]
+    assert fracs(f.v_operator(m)) == want
+
+
+@given(wide_series, st.integers(0, 4))
+def test_q_derive_matches_fraction_reference(f, j):
+    assert fracs(f.q_derive(j)) == [n**j * a for n, a in enumerate(fracs(f))]
+
+
+def test_representation_is_canonical():
+    f = QSeries([Fraction(2, 4), 3])
+    g = QSeries([Fraction(1, 2), 3])
+    assert f == g and hash(f) == hash(g)
+    assert f._den == 2 and f._nums == (1, 6)
+    # results are reduced too: the halves cancel here
+    assert (f + f)._den == 1 and (f + f) == QSeries([1, 6])
+    assert hash(f + f) == hash(QSeries([1, 6]))
+    zero = f - g
+    assert zero.is_zero() and zero._den == 1
+    assert zero == QSeries.zero(2) and hash(zero) == hash(QSeries.zero(2))
+    assert (0 * QSeries([Fraction(1, 3)]))._den == 1
+
+
 # -- Rankin-Cohen bracket -------------------------------------------------------
 
 def test_half_binomial():
@@ -243,13 +315,6 @@ def test_weight_hints_propagate():
 
 # -- serialization -----------------------------------------------------------------
 
-def test_text_round_trip_format():
-    f = QSeries([Fraction(-1, 12), 0, Fraction(1, 3)])
-    text = f.to_text()
-    assert text.splitlines() == ["0:-1/12", "1:0/1", "2:1/3"]
-    assert QSeries.from_text(text) == f
-
-
 def test_strings_round_trip_canonical():
     f = QSeries([Fraction(-1, 12), 0, 7])
     assert f.to_strings() == ["-1/12", "0", "7"]
@@ -258,10 +323,4 @@ def test_strings_round_trip_canonical():
 
 @given(series)
 def test_serialization_round_trips(f):
-    assert QSeries.from_text(f.to_text()) == f
     assert QSeries.from_strings(f.to_strings()) == f
-
-
-def test_from_text_rejects_gaps():
-    with pytest.raises(ValueError):
-        QSeries.from_text("0:1/1\n2:1/1")
