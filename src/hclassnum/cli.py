@@ -8,20 +8,13 @@ order so that parse + re-serialize is byte-identical.
 
 Exit codes: 0 on success (for verification commands: all verdicts true),
 1 when a verification found mismatches, 2 on usage errors.
-
-The HURWITZ_THREADS environment variable overrides --threads.  Threads fan
-the independent verification suites out over a pool; everything in the
-library is pure and immutable, and the printed order stays deterministic
-regardless of worker count.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,6 +31,9 @@ __all__ = ["CliConfig", "build_parser", "run", "main"]
 _EC_WARN_P = 200
 # ... and refuse past here
 _EC_MAX_P = 500
+# smallest --pmax that leaves a prime to check: the classical sums start at
+# p = 2, the curve oracle at p = 5
+_VERIFY_MIN_PMAX = {"classical": 2, "all": 2, "ec": 5}
 
 
 class UsageError(Exception):
@@ -46,11 +42,10 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class CliConfig:
-    """Parsed invocation: command, output format, worker count, parameters."""
+    """Parsed invocation: command, output format, parameters."""
 
     command: str
     format: str = "text"
-    threads: int | None = None
     params: dict = field(default_factory=dict)
 
 
@@ -72,8 +67,6 @@ def _emit(config: CliConfig, result, reports: list[dict], text_lines: list[str])
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (HURWITZ_THREADS overrides)")
 
     parser = argparse.ArgumentParser(
         prog="hclassnum",
@@ -249,8 +242,9 @@ def _report_text(report: dict) -> str:
 
 def _cmd_cross_check(config: CliConfig) -> int:
     params = config.params
-    if params["pmax"] < 3:
-        raise UsageError("--pmax must be >= 3")
+    p_min = formulas.FIRST_PRIME[params["modulus"]]
+    if params["pmax"] < p_min:
+        raise UsageError(f"--pmax must be >= {p_min} for modulus {params['modulus']}")
     report = formulas.cross_check(params["modulus"], params["pmax"]).to_dict()
     ok = report["verdict"] and report["details"]["branch_coverage_complete"]
     lines = [_report_text(report),
@@ -285,17 +279,13 @@ def _suite_jobs(suite: str, pmax: int, overshoot: int):
 
 def _cmd_verify(config: CliConfig) -> int:
     params = config.params
-    if params["pmax"] < 1:
-        raise UsageError("--pmax must be >= 1")
+    need = _VERIFY_MIN_PMAX.get(params["suite"], 1)
+    if params["pmax"] < need:
+        raise UsageError(f"--pmax must be >= {need} for --suite {params['suite']}")
     if params["overshoot"] < 1:
         raise UsageError("--overshoot must be >= 1")
     jobs = _suite_jobs(params["suite"], params["pmax"], params["overshoot"])
-    workers = config.threads or 1
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: job[1](), jobs))
-    else:
-        results = [thunk() for _, thunk in jobs]
+    results = [thunk() for _, thunk in jobs]
     reports = [r for chunk in results for r in chunk]
     all_ok = all(r["verdict"] for r in reports)
     lines = [_report_text(r) for r in reports]
@@ -340,19 +330,6 @@ _HANDLERS = {
 }
 
 
-def _resolve_threads(cli_value: int | None) -> int | None:
-    env = os.environ.get("HURWITZ_THREADS")
-    value = cli_value
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise UsageError("HURWITZ_THREADS must be an integer") from exc
-    if value is not None and value < 1:
-        raise UsageError("thread count must be >= 1")
-    return value
-
-
 def run(argv: list[str]) -> int:
     """Parse and dispatch; returns the process exit code."""
     parser = build_parser()
@@ -361,14 +338,9 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return 0 if exc.code == 0 else 2
     params = {k: v for k, v in vars(ns).items()
-              if k not in ("command", "format", "threads")}
+              if k not in ("command", "format")}
     try:
-        config = CliConfig(
-            command=ns.command,
-            format=ns.format,
-            threads=_resolve_threads(ns.threads),
-            params=params,
-        )
+        config = CliConfig(command=ns.command, format=ns.format, params=params)
         return _HANDLERS[ns.command](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,6 +34,7 @@ __all__ = [
     "cross_check",
     "MOD6_BRANCHES",
     "MOD8_BRANCHES",
+    "FIRST_PRIME",
 ]
 
 
@@ -72,6 +73,9 @@ MOD8_BRANCHES = (
     "m odd (8), p=5,7 (8)",
     "m=3,5 (8), p=1,3 (8)",
 )
+
+# smallest prime each table applies to: p must not divide M
+FIRST_PRIME = {6: 5, 8: 3}
 
 
 def _fold(m: int, M: int) -> int:
@@ -187,7 +191,7 @@ def cross_check(M: int, p_max: int) -> CheckReport:
     """
     if M not in (6, 8):
         raise ValueError("closed forms exist for moduli 6 and 8 only")
-    p_min = 5 if M == 6 else 3
+    p_min = FIRST_PRIME[M]
     table_at_least(4 * p_max + 1)
     mismatches: list[tuple] = []
     branches: set[str] = set()

@@ -25,9 +25,16 @@ vanishes for odd m and otherwise, writing m = 2*m1, equals
           G_{l,m1-b1,2^(e-1)M1} | S_{2^f M1, m1^2-b1^2} | S_{2,1}
     + 2^(l-1) * T_{l,m1,2^(e-1)M1} (x) chi_{M,0}.
 
-For M = 6 and M = 8 that collapses to small case tables, which is what
-lambda_u4_twist ships; the general decomposition is kept as an experimental
-cross-check and is not part of the verified surface.
+lambda_u4_twist assembles exactly this sum for every even M, and
+verify_lemmas checks it against the literal pipeline lambda_series | U_4
+(x) chi_{M,0}.  For the paper's moduli it specialises to these case rows
+(m read mod M; odd m gives zero):
+
+    M = 6, m = 0:     2^(l+1) * G_{l,1,3} | S_{6,5}
+    M = 6, m = 2, 4:  2^l * G_{l,1,3} | S_{6,1} + 2^(l-1) * T_{l,1,6}
+    M = 8, m = 0:     2^(l+1) * G_{l,1,4} | S_{8,7}
+    M = 8, m = 4:     2^(l+1) * G_{l,1,4} | S_{8,3}
+    M = 8, m = 2, 6:  2^l * G_{l,1,4} | S_{4,1} + 2^(l-1) * T_{l,1,4}
 """
 from __future__ import annotations
 
@@ -48,7 +55,6 @@ __all__ = [
     "g_series",
     "t_series",
     "lambda_u4_twist",
-    "lambda_u4_twist_general",
     "build_series",
 ]
 
@@ -221,49 +227,14 @@ def t_series(ell: int, m: int, M: int, precision: int) -> QSeries:
 def lambda_u4_twist(ell: int, m: int, M: int, precision: int) -> QSeries:
     """Closed form of Lambda_{ell,m,M} | U_4 twisted by the principal character.
 
-    Only the verified moduli M = 6 and M = 8 use the explicit case tables;
-    other even moduli fall through to the experimental general decomposition.
+    The 2^e * M1 decomposition of the module docstring, summed term by term:
+    zero for odd m, otherwise sieved G series plus one twisted T series.
     Odd M is rejected.
     """
     if M % 2:
         raise ValueError("modulus must be even")
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    r = m % M
-    two_l = Fraction(2) ** ell
-    if M == 6:
-        if r == 0:
-            return 2 * two_l * g_series(ell, 1, 3, precision).sieve(6, 5)
-        if r % 2:
-            return QSeries.zero(precision)
-        # r = 2, 4
-        return two_l * g_series(ell, 1, 3, precision).sieve(6, 1) + (
-            two_l / 2
-        ) * t_series(ell, 1, 6, precision)
-    if M == 8:
-        if r == 0:
-            return 2 * two_l * g_series(ell, 1, 4, precision).sieve(8, 7)
-        if r % 2:
-            return QSeries.zero(precision)
-        if r == 4:
-            return 2 * two_l * g_series(ell, 1, 4, precision).sieve(8, 3)
-        # r = 2, 6
-        return two_l * g_series(ell, 1, 4, precision).sieve(4, 1) + (
-            two_l / 2
-        ) * t_series(ell, 1, 4, precision)
-    return lambda_u4_twist_general(ell, m, M, precision)
-
-
-def lambda_u4_twist_general(ell: int, m: int, M: int, precision: int) -> QSeries:
-    """General even-modulus closed form (experimental; see module docstring).
-
-    Assembled literally from the 2^e * M1 decomposition.  The M = 6, 8
-    tables in lambda_u4_twist are specializations of this; the two paths
-    are compared in the test suite but only the tables are part of the
-    verified surface.
-    """
-    if M % 2:
-        raise ValueError("modulus must be even")
     if m % 2:
         return QSeries.zero(precision)
     e = (M & -M).bit_length() - 1

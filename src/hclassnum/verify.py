@@ -24,7 +24,7 @@ rather than reusing the Gamma_0 bound; conservative costs nothing here.
 verify_lemmas exercises the lattice-sum layer itself: the literal mu and
 Lambda scans against their divisor-sum closed forms.  verify_classical
 covers the two classical regressions (the full class-number sum equal to
-2p, and the 5-case evaluation of H_{0,5}(p)).
+2p, and the 3-case evaluation of H_{0,5}(p)).
 """
 from __future__ import annotations
 

@@ -140,43 +140,11 @@ def test_verify_suites(capsys):
     assert [r["bound"] for r in payload["reports"]] == [48, 96, 96, 96]
 
 
-def test_verify_all_with_threads_is_deterministic(capsys, monkeypatch):
-    code, seq, _ = invoke(capsys, "verify", "--suite", "all", "--pmax", "60",
-                          "--overshoot", "1", "--format", "json")
-    assert code == 0
-    monkeypatch.setenv("HURWITZ_THREADS", "3")
-    code, par, _ = invoke(capsys, "verify", "--suite", "all", "--pmax", "60",
-                          "--overshoot", "1", "--format", "json")
-    assert code == 0
-    assert seq == par
-
-
 def test_verify_all_default_invocation(capsys):
     # the canonical full run: every suite except ec, default 4x overshoot
     code, out, _ = invoke(capsys, "verify", "--suite", "all", "--pmax", "500")
     assert code == 0
     assert "all identities verified" in out
-
-
-def test_env_overrides_threads_flag(monkeypatch):
-    from hclassnum.cli import _resolve_threads
-
-    monkeypatch.delenv("HURWITZ_THREADS", raising=False)
-    assert _resolve_threads(2) == 2
-    assert _resolve_threads(None) is None
-    monkeypatch.setenv("HURWITZ_THREADS", "5")
-    assert _resolve_threads(2) == 5
-
-
-def test_threads_env_must_be_sane(capsys, monkeypatch):
-    monkeypatch.setenv("HURWITZ_THREADS", "zero")
-    code, _, err = invoke(capsys, "verify", "--suite", "classical",
-                          "--pmax", "30")
-    assert code == 2
-    monkeypatch.setenv("HURWITZ_THREADS", "0")
-    code, _, err = invoke(capsys, "verify", "--suite", "classical",
-                          "--pmax", "30")
-    assert code == 2
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
@@ -237,6 +205,26 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = invoke(capsys)
     assert code == 2
+
+
+def test_ranges_with_nothing_to_check_are_refused(capsys):
+    # each range holds no prime the suite checks, so there is no verdict to give
+    for argv in (["verify", "--suite", "classical", "--pmax", "1"],
+                 ["verify", "--suite", "all", "--pmax", "1"],
+                 ["verify", "--suite", "ec", "--pmax", "4"],
+                 ["cross-check", "--modulus", "6", "--pmax", "4"],
+                 ["cross-check", "--modulus", "8", "--pmax", "2"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "--pmax must be >=" in err, argv
+    # the smallest ranges that do hold one are checked
+    for argv in (["verify", "--suite", "classical", "--pmax", "2"],
+                 ["verify", "--suite", "ec", "--pmax", "5"],
+                 ["cross-check", "--modulus", "6", "--pmax", "5"],
+                 ["cross-check", "--modulus", "8", "--pmax", "3"]):
+        _, out, _ = invoke(capsys, *argv, "--format", "json")
+        report = json.loads(out)["reports"][-1]
+        assert report["checked"] > 0 and report["verdict"] is True, argv
 
 
 def test_help_exits_zero(capsys):

@@ -1,9 +1,11 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hclassnum.numtheory import DirichletCharacter
+from hclassnum.qseries import QSeries
 from hclassnum.sums import (
     LatticeSumSpec,
     build_series,
@@ -11,7 +13,6 @@ from hclassnum.sums import (
     lambda_coeff,
     lambda_series,
     lambda_u4_twist,
-    lambda_u4_twist_general,
     mu_closed,
     mu_coeff,
     mu_series,
@@ -119,17 +120,26 @@ def test_closed_form_odd_m_is_zero():
 
 
 def test_closed_form_pinned_shapes():
-    prec = 80
-    # modulus 6, m = 2, ell = 1: twice the sieved divisor series plus the
-    # square-supported series at half its doubled weight
-    want = 2 * g_series(1, 1, 3, prec).sieve(6, 1) + t_series(1, 1, 6, prec)
-    assert lambda_u4_twist(1, 2, 6, prec) == want
-    # modulus 8, m = 4, ell = 1: four times the sieved divisor series
-    want = 4 * g_series(1, 1, 4, prec).sieve(8, 3)
-    assert lambda_u4_twist(1, 4, 8, prec) == want
-    # modulus 8, m = 0, ell = 0: the doubling from the coinciding branches
-    want = 2 * g_series(0, 1, 4, prec).sieve(8, 7)
-    assert lambda_u4_twist(0, 0, 8, prec) == want
+    # the paper's case rows for M = 6 and 8, residue by residue; residues
+    # without a row (the odd ones) have a zero image
+    prec = 200
+    for ell in (0, 1, 2, 3):
+        two_l = Fraction(2) ** ell
+        g3 = g_series(ell, 1, 3, prec)
+        g4 = g_series(ell, 1, 4, prec)
+        # the doubling at m = 0 comes from the two coinciding branches; the
+        # T part enters at half the weight of the G part
+        mod6_2 = two_l * g3.sieve(6, 1) + two_l / 2 * t_series(ell, 1, 6, prec)
+        mod8_2 = two_l * g4.sieve(4, 1) + two_l / 2 * t_series(ell, 1, 4, prec)
+        rows = {
+            6: {0: 2 * two_l * g3.sieve(6, 5), 2: mod6_2, 4: mod6_2},
+            8: {0: 2 * two_l * g4.sieve(8, 7), 4: 2 * two_l * g4.sieve(8, 3),
+                2: mod8_2, 6: mod8_2},
+        }
+        for M, row in rows.items():
+            for m in range(M):
+                want = row.get(m, QSeries.zero(prec))
+                assert lambda_u4_twist(ell, m, M, prec) == want, (M, ell, m)
 
 
 @pytest.mark.parametrize("M", [6, 8])
@@ -143,31 +153,22 @@ def test_closed_form_equals_literal_pipeline(M, ell):
         assert literal.truncate(prec) == closed, (M, ell, m)
 
 
-@pytest.mark.parametrize("M", [6, 8])
-def test_explicit_tables_match_general_decomposition(M):
-    for ell in (0, 1, 2):
-        for m in range(M):
-            assert lambda_u4_twist(ell, m, M, 200) == lambda_u4_twist_general(
-                ell, m, M, 200
-            ), (M, ell, m)
-
-
 def test_general_decomposition_covers_other_even_moduli():
-    # not part of the verified surface, but it must still equal the literal
-    # pipeline where it claims to apply
-    M, ell = 10, 1
-    chi0 = DirichletCharacter.principal(M)
-    for m in range(M):
-        literal = lambda_series(ell, m, M, 400).u_operator(4).twist(chi0)
-        closed = lambda_u4_twist_general(ell, m, M, 100)
-        assert literal.truncate(100) == closed, m
+    # the same closed form at moduli the paper does not tabulate, against the
+    # literal pipeline: e = 1, 2, 3, 4 and odd parts 1, 3, 5, 7
+    prec = 150
+    for M in (4, 10, 12, 14, 16, 24):
+        chi0 = DirichletCharacter.principal(M)
+        for ell in (0, 1, 3):
+            for m in range(M):
+                literal = lambda_series(ell, m, M, 4 * prec).u_operator(4).twist(chi0)
+                closed = lambda_u4_twist(ell, m, M, prec)
+                assert literal.truncate(prec) == closed, (M, ell, m)
 
 
 def test_odd_modulus_rejected():
     with pytest.raises(ValueError):
         lambda_u4_twist(1, 0, 5, 10)
-    with pytest.raises(ValueError):
-        lambda_u4_twist_general(1, 0, 7, 10)
 
 
 def test_lattice_sum_spec_validation():
