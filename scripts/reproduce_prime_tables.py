@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 
-from hclassnum.formulas import h_formula
+from hclassnum.formulas import FIRST_PRIME, h_formula
 from hclassnum.hurwitz import moment_sum
 from hclassnum.numtheory import primes_up_to
 
 
 def print_table(modulus: int, pmax: int) -> None:
-    p_min = 5 if modulus == 6 else 3
+    p_min = FIRST_PRIME[modulus]
     header = ["p"] + [f"m={m}" for m in range(modulus)]
     rows = []
     for p in primes_up_to(pmax):

@@ -9,11 +9,10 @@ elliptic-curve counting oracle.
 """
 from .eccount import TraceDistribution, trace_distribution, verify_curve_counts
 from .forms import d_series, e2_series, psi_series, theta0, theta_mM, theta_weighted
-from .formulas import FormulaResult, cross_check, h_formula, h_mod6, h_mod8
+from .formulas import FormulaResult, cross_check, h_formula
 from .hurwitz import (
     HurwitzTable,
     build_table,
-    hurwitz,
     hurwitz_series,
     moment_sum,
     restricted_series,
@@ -74,10 +73,7 @@ __all__ = [
     "g_series",
     "group_index",
     "h_formula",
-    "h_mod6",
-    "h_mod8",
     "half_binomial",
-    "hurwitz",
     "hurwitz_series",
     "is_prime",
     "kronecker_symbol",

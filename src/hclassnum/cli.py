@@ -7,7 +7,8 @@ rationals as canonical Fraction strings, never floats, and with stable key
 order so that parse + re-serialize is byte-identical.
 
 Exit codes: 0 on success (for verification commands: all verdicts true),
-1 when a verification found mismatches, 2 on usage errors.
+1 when a verification found mismatches or a cross-check's prime range
+missed a case row, 2 on usage errors.
 """
 from __future__ import annotations
 

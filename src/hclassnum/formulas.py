@@ -1,10 +1,13 @@
 """Closed-form evaluation of H_{m,6}(p) and H_{m,8}(p) at primes.
 
-The case tables are spelled out row by row: seven rows for modulus 6 and
-eight plus three rows for modulus 8 (even and odd residues read different
-tables, with different x^2 + n*y^2 representations supplying the
-square-root-size term chi(x)*x).  The residue m is reduced mod M and folded
-through H_{m,M} = H_{-m,M} before dispatch.
+Each modulus has one row table, CASE_ROWS[M]: seven rows for M = 6 and
+eleven for M = 8.  A row holds its printed label, the folded residues m it
+serves, the prime classes it serves (p mod 3 for M = 6, p mod 8 for M = 8),
+a linear part (a*p + b)/c, the coefficient of the square-root-size term
+chi(x)*x, and the form n of the representation p = x^2 + n*y^2 that supplies
+x (None when the row reads no representation).  h_formula reduces m mod M,
+folds it through H_{m,M} = H_{-m,M}, and evaluates the one row that serves
+(m, p).
 
 Values are exact rationals; thirds and halves are legitimate because class
 numbers carry them.  cross_check replays every (prime, residue) pair against
@@ -27,9 +30,9 @@ from .numtheory import (
 from .reporting import CheckReport
 
 __all__ = [
+    "CaseRow",
+    "CASE_ROWS",
     "FormulaResult",
-    "h_mod6",
-    "h_mod8",
     "h_formula",
     "cross_check",
     "MOD6_BRANCHES",
@@ -50,32 +53,55 @@ class FormulaResult:
     representation: PrimeRepresentation | None = None
 
 
-MOD6_BRANCHES = (
-    "m=0 (6), p=1 (3)",
-    "m=0 (6), p=2 (3)",
-    "m=1,5 (6), p=1 (3)",
-    "m=1,5 (6), p=2 (3)",
-    "m=2,4 (6), p=1 (3)",
-    "m=2,3,4 (6), p=2 (3)",
-    "m=3 (6), p=1 (3)",
-)
+@dataclass(frozen=True)
+class CaseRow:
+    """One printed row: H_{m,M}(p) = (a*p + b)/c + chi_coeff*chi(x)*x."""
 
-MOD8_BRANCHES = (
-    "m=0 (8), p=1 (4)",
-    "m=0 (8), p=3 (8)",
-    "m=0 (8), p=7 (8)",
-    "m=2,6 (8), p=1 (4)",
-    "m=2,6 (8), p=3 (4)",
-    "m=4 (8), p=1 (4)",
-    "m=4 (8), p=3 (8)",
-    "m=4 (8), p=7 (8)",
-    "m=1,7 (8), p=1,3 (8)",
-    "m odd (8), p=5,7 (8)",
-    "m=3,5 (8), p=1,3 (8)",
-)
+    label: str
+    residues: tuple[int, ...]
+    prime_classes: tuple[int, ...]
+    linear: tuple[int, int, int]
+    chi_coeff: Fraction
+    form: int | None
+
+
+_ZERO = Fraction(0)
+
+CASE_ROWS: dict[int, tuple[CaseRow, ...]] = {
+    6: (
+        CaseRow("m=0 (6), p=1 (3)", (0,), (1,), (1, 1, 3), Fraction(1, 3), 3),
+        CaseRow("m=0 (6), p=2 (3)", (0,), (2,), (2, -4, 3), _ZERO, None),
+        CaseRow("m=1,5 (6), p=1 (3)", (1,), (1,), (1, 1, 4), Fraction(1, 6), 3),
+        CaseRow("m=1,5 (6), p=2 (3)", (1,), (2,), (1, 1, 6), _ZERO, None),
+        CaseRow("m=2,4 (6), p=1 (3)", (2,), (1,), (1, -1, 2), Fraction(-1, 6), 3),
+        CaseRow("m=2,3,4 (6), p=2 (3)", (2, 3), (2,), (1, 1, 3), _ZERO, None),
+        CaseRow("m=3 (6), p=1 (3)", (3,), (1,), (1, 1, 6), Fraction(-1, 3), 3),
+    ),
+    8: (
+        CaseRow("m=0 (8), p=1 (4)", (0,), (1, 5), (1, 1, 4), Fraction(1, 2), 4),
+        CaseRow("m=0 (8), p=3 (8)", (0,), (3,), (1, 1, 3), _ZERO, None),
+        CaseRow("m=0 (8), p=7 (8)", (0,), (7,), (1, -3, 2), _ZERO, None),
+        CaseRow("m=2,6 (8), p=1 (4)", (2,), (1, 5), (5, -7, 12), _ZERO, 4),
+        CaseRow("m=2,6 (8), p=3 (4)", (2,), (3, 7), (1, 1, 4), _ZERO, None),
+        CaseRow("m=4 (8), p=1 (4)", (4,), (1, 5), (1, 1, 4), Fraction(-1, 2), 4),
+        CaseRow("m=4 (8), p=3 (8)", (4,), (3,), (1, -3, 2), _ZERO, None),
+        CaseRow("m=4 (8), p=7 (8)", (4,), (7,), (1, 1, 3), _ZERO, None),
+        CaseRow("m=1,7 (8), p=1,3 (8)", (1,), (1, 3), (1, 1, 6), Fraction(1, 3), 2),
+        CaseRow("m odd (8), p=5,7 (8)", (1, 3), (5, 7), (1, 1, 6), _ZERO, None),
+        CaseRow("m=3,5 (8), p=1,3 (8)", (3,), (1, 3), (1, 1, 6), Fraction(-1, 3), 2),
+    ),
+}
+
+MOD6_BRANCHES = tuple(row.label for row in CASE_ROWS[6])
+MOD8_BRANCHES = tuple(row.label for row in CASE_ROWS[8])
 
 # smallest prime each table applies to: p must not divide M
 FIRST_PRIME = {6: 5, 8: 3}
+# the prime classes of a row are residues of p modulo this
+_PRIME_CLASS_MODULUS = {6: 3, 8: 8}
+
+_ROW_AT = {(M, m, r): row for M, rows in CASE_ROWS.items() for row in rows
+           for m in row.residues for r in row.prime_classes}
 
 
 def _fold(m: int, M: int) -> int:
@@ -84,103 +110,27 @@ def _fold(m: int, M: int) -> int:
     return min(r, M - r) if r else 0
 
 
-def h_mod6(p: int, m: int) -> FormulaResult:
-    """H_{m,6}(p) for primes p >= 5, via the seven-row case table.
-
-    For p = 1 (mod 3) the table consumes the representation p = x^2 + 3y^2;
-    chi_{-3}(x)*x does not depend on the sign choice of x because the
-    character is odd.
-    """
-    if p < 5 or not is_prime(p):
-        raise ValueError("h_mod6 needs a prime p >= 5")
-    folded = _fold(m, 6)
-    value: Fraction
-    rep = None
-    if p % 3 == 1:
-        rep = represent(p, 3)
-        term = CHI_MINUS3(rep.x) * rep.x
-        if folded == 0:
-            value = Fraction(p + 1, 3) + term / 3
-            branch = MOD6_BRANCHES[0]
-        elif folded == 1:
-            value = Fraction(p + 1, 4) + term / 6
-            branch = MOD6_BRANCHES[2]
-        elif folded == 2:
-            value = Fraction(p - 1, 2) - term / 6
-            branch = MOD6_BRANCHES[4]
-        else:
-            value = Fraction(p + 1, 6) - term / 3
-            branch = MOD6_BRANCHES[6]
-    else:
-        if folded == 0:
-            value = Fraction(2 * p - 4, 3)
-            branch = MOD6_BRANCHES[1]
-        elif folded == 1:
-            value = Fraction(p + 1, 6)
-            branch = MOD6_BRANCHES[3]
-        else:  # folded 2 and 3 share a printed row
-            value = Fraction(p + 1, 3)
-            branch = MOD6_BRANCHES[5]
-    return FormulaResult(p=p, m=m, M=6, value=value, branch=branch,
-                         representation=rep)
-
-
-def h_mod8(p: int, m: int) -> FormulaResult:
-    """H_{m,8}(p) for primes p >= 3, via the even-m and odd-m case tables.
-
-    Even residues read p = x^2 + 4y^2 (available for p = 1 mod 4); odd
-    residues read p = x^2 + 2y^2 (available for p = 1, 3 mod 8).
-    """
-    if p < 3 or not is_prime(p):
-        raise ValueError("h_mod8 needs a prime p >= 3")
-    folded = _fold(m, 8)
-    rep = None
-    if folded % 2 == 0:
-        if p % 4 == 1:
-            rep = represent(p, 4)
-            term = CHI_MINUS4(rep.x) * rep.x
-            if folded == 0:
-                value = Fraction(p + 1, 4) + term / 2
-                branch = MOD8_BRANCHES[0]
-            elif folded == 2:
-                value = Fraction(5 * p - 7, 12)
-                branch = MOD8_BRANCHES[3]
-            else:
-                value = Fraction(p + 1, 4) - term / 2
-                branch = MOD8_BRANCHES[5]
-        elif folded == 2:
-            value = Fraction(p + 1, 4)
-            branch = MOD8_BRANCHES[4]
-        elif p % 8 == 3:
-            value = Fraction(p + 1, 3) if folded == 0 else Fraction(p - 3, 2)
-            branch = MOD8_BRANCHES[1] if folded == 0 else MOD8_BRANCHES[6]
-        else:  # p = 7 (mod 8)
-            value = Fraction(p - 3, 2) if folded == 0 else Fraction(p + 1, 3)
-            branch = MOD8_BRANCHES[2] if folded == 0 else MOD8_BRANCHES[7]
-    else:
-        if p % 8 in (1, 3):
-            rep = represent(p, 2)
-            term = CHI_MINUS4(rep.x) * rep.x
-            if folded == 1:
-                value = Fraction(p + 1, 6) + term / 3
-                branch = MOD8_BRANCHES[8]
-            else:
-                value = Fraction(p + 1, 6) - term / 3
-                branch = MOD8_BRANCHES[10]
-        else:
-            value = Fraction(p + 1, 6)
-            branch = MOD8_BRANCHES[9]
-    return FormulaResult(p=p, m=m, M=8, value=value, branch=branch,
-                         representation=rep)
-
-
 def h_formula(M: int, p: int, m: int) -> FormulaResult:
-    """Dispatch to the modulus-6 or modulus-8 table."""
-    if M == 6:
-        return h_mod6(p, m)
-    if M == 8:
-        return h_mod8(p, m)
-    raise ValueError("closed forms exist for moduli 6 and 8 only")
+    """H_{m,M}(p) for M = 6 (primes p >= 5) or M = 8 (primes p >= 3).
+
+    The character is chi_{-3} for the form x^2 + 3y^2 and chi_{-4} for
+    x^2 + 2y^2 and x^2 + 4y^2; chi(x)*x does not depend on the sign of x
+    because both characters are odd.
+    """
+    if M not in CASE_ROWS:
+        raise ValueError("closed forms exist for moduli 6 and 8 only")
+    if p < FIRST_PRIME[M] or not is_prime(p):
+        raise ValueError(f"H_(m,{M})(p) needs a prime p >= {FIRST_PRIME[M]}")
+    row = _ROW_AT[M, _fold(m, M), p % _PRIME_CLASS_MODULUS[M]]
+    a, b, c = row.linear
+    value = Fraction(a * p + b, c)
+    rep = None
+    if row.form is not None:
+        rep = represent(p, row.form)
+        chi = CHI_MINUS3 if row.form == 3 else CHI_MINUS4
+        value += row.chi_coeff * chi(rep.x) * rep.x
+    return FormulaResult(p=p, m=m, M=M, value=value, branch=row.label,
+                         representation=rep)
 
 
 def cross_check(M: int, p_max: int) -> CheckReport:
@@ -189,7 +139,7 @@ def cross_check(M: int, p_max: int) -> CheckReport:
     Runs every prime in range (from 5 for M = 6, from 3 for M = 8) and
     every residue m mod M; details record which table rows were hit.
     """
-    if M not in (6, 8):
+    if M not in CASE_ROWS:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
     p_min = FIRST_PRIME[M]
     table_at_least(4 * p_max + 1)
@@ -206,7 +156,7 @@ def cross_check(M: int, p_max: int) -> CheckReport:
             brute = moment_sum(0, m, M, p)
             if result.value != brute:
                 mismatches.append((p, m, result.value, brute, result.branch))
-    expected = MOD6_BRANCHES if M == 6 else MOD8_BRANCHES
+    expected = [row.label for row in CASE_ROWS[M]]
     return CheckReport(
         name=f"closed form vs brute force (mod {M})",
         checked=checked,
@@ -214,7 +164,7 @@ def cross_check(M: int, p_max: int) -> CheckReport:
         details={
             "p_max": p_max,
             "branches_hit": sorted(branches),
-            "branches_expected": list(expected),
+            "branches_expected": expected,
             "branch_coverage_complete": branches == set(expected),
         },
     )

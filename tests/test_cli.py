@@ -217,14 +217,21 @@ def test_ranges_with_nothing_to_check_are_refused(capsys):
         code, out, err = invoke(capsys, *argv)
         assert code == 2, argv
         assert out == "" and "--pmax must be >=" in err, argv
-    # the smallest ranges that do hold one are checked
-    for argv in (["verify", "--suite", "classical", "--pmax", "2"],
-                 ["verify", "--suite", "ec", "--pmax", "5"],
-                 ["cross-check", "--modulus", "6", "--pmax", "5"],
-                 ["cross-check", "--modulus", "8", "--pmax", "3"]):
-        _, out, _ = invoke(capsys, *argv, "--format", "json")
-        report = json.loads(out)["reports"][-1]
+    # the smallest ranges that do hold one are checked; a cross-check this
+    # short misses case rows (full coverage starts at --pmax 7), so it
+    # exits 1 although no value disagrees
+    for argv, code_expected in ((["verify", "--suite", "classical", "--pmax", "2"], 0),
+                                (["verify", "--suite", "ec", "--pmax", "5"], 0),
+                                (["cross-check", "--modulus", "6", "--pmax", "5"], 1),
+                                (["cross-check", "--modulus", "8", "--pmax", "3"], 1)):
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        report = payload["reports"][-1]
         assert report["checked"] > 0 and report["verdict"] is True, argv
+        assert code == code_expected, argv
+        if argv[0] == "cross-check":
+            assert payload["result"] == {"all_verdicts_true": False}, argv
+            assert report["details"]["branch_coverage_complete"] is False, argv
 
 
 def test_help_exits_zero(capsys):

@@ -1,43 +1,45 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hclassnum.formulas import (
+    CASE_ROWS,
+    FIRST_PRIME,
     MOD6_BRANCHES,
     MOD8_BRANCHES,
     cross_check,
     h_formula,
-    h_mod6,
-    h_mod8,
 )
 from hclassnum.hurwitz import moment_sum
 from hclassnum.numtheory import CHI_MINUS3, CHI_MINUS4, primes_up_to
 
 
 def test_mod6_pinned_values():
-    r = h_mod6(7, 0)
+    r = h_formula(6, 7, 0)
     assert r.value == 2
     assert r.representation is not None and (r.representation.x,
                                              r.representation.y) == (2, 1)
-    assert h_mod6(5, 0).value == 2
-    assert h_mod6(5, 3).value == 2
-    assert h_mod6(5, 3).branch == "m=2,3,4 (6), p=2 (3)"
+    assert h_formula(6, 5, 0).value == 2
+    assert h_formula(6, 5, 3).value == 2
+    assert h_formula(6, 5, 3).branch == "m=2,3,4 (6), p=2 (3)"
 
 
 def test_mod8_pinned_values():
-    assert h_mod8(5, 0).value == 2
-    assert h_mod8(3, 0).value == Fraction(4, 3)
-    assert h_mod8(7, 1).value == Fraction(4, 3)
-    assert h_mod8(3, 1).value == 1
+    assert h_formula(8, 5, 0).value == 2
+    assert h_formula(8, 3, 0).value == Fraction(4, 3)
+    assert h_formula(8, 7, 1).value == Fraction(4, 3)
+    assert h_formula(8, 3, 1).value == 1
 
 
 def test_rejects_small_primes_and_composites():
     for p in (2, 3, 9):
         with pytest.raises(ValueError):
-            h_mod6(p, 0)
+            h_formula(6, p, 0)
     for p in (2, 15):
         with pytest.raises(ValueError):
-            h_mod8(p, 0)
+            h_formula(8, p, 0)
     with pytest.raises(ValueError):
         h_formula(7, 11, 0)
 
@@ -45,37 +47,37 @@ def test_rejects_small_primes_and_composites():
 def test_residue_folding():
     for p in (5, 7, 11, 13):
         for m in range(6):
-            assert h_mod6(p, m).value == h_mod6(p, -m).value
-            assert h_mod6(p, m).value == h_mod6(p, m + 6).value
+            assert h_formula(6, p, m).value == h_formula(6, p, -m).value
+            assert h_formula(6, p, m).value == h_formula(6, p, m + 6).value
         for m in range(8):
-            assert h_mod8(p, m).value == h_mod8(p, -m).value
+            assert h_formula(8, p, m).value == h_formula(8, p, -m).value
 
 
 def test_values_match_brute_force_small():
     for p in primes_up_to(200):
         if p >= 5:
             for m in range(6):
-                assert h_mod6(p, m).value == moment_sum(0, m, 6, p), (p, m)
+                assert h_formula(6, p, m).value == moment_sum(0, m, 6, p), (p, m)
         if p >= 3:
             for m in range(8):
-                assert h_mod8(p, m).value == moment_sum(0, m, 8, p), (p, m)
+                assert h_formula(8, p, m).value == moment_sum(0, m, 8, p), (p, m)
 
 
 def test_residue_classes_sum_to_eichler():
     for p in primes_up_to(1000):
         if p < 5:
             continue
-        total6 = sum(h_mod6(p, m).value for m in range(6))
-        total8 = sum(h_mod8(p, m).value for m in range(8))
+        total6 = sum(h_formula(6, p, m).value for m in range(6))
+        total8 = sum(h_formula(8, p, m).value for m in range(8))
         assert total6 == 2 * p
         assert total8 == 2 * p
 
 
 def test_branch_coverage_by_200():
-    hit6 = {h_mod6(p, m).branch for p in primes_up_to(200) if p >= 5
+    hit6 = {h_formula(6, p, m).branch for p in primes_up_to(200) if p >= 5
             for m in range(6)}
     assert hit6 == set(MOD6_BRANCHES)
-    hit8 = {h_mod8(p, m).branch for p in primes_up_to(200) if p >= 3
+    hit8 = {h_formula(8, p, m).branch for p in primes_up_to(200) if p >= 3
             for m in range(8)}
     assert hit8 == set(MOD8_BRANCHES)
 
@@ -87,10 +89,10 @@ def test_character_term_sign_invariance():
         if p < 5:
             continue
         if p % 3 == 1:
-            r = h_mod6(p, 0).representation
+            r = h_formula(6, p, 0).representation
             assert CHI_MINUS3(r.x) * r.x == CHI_MINUS3(-r.x) * -r.x
         if p % 4 == 1:
-            r = h_mod8(p, 0).representation
+            r = h_formula(8, p, 0).representation
             assert CHI_MINUS4(r.x) * r.x == CHI_MINUS4(-r.x) * -r.x
 
 
@@ -99,6 +101,58 @@ def test_cross_check_small_range(M):
     report = cross_check(M, 500)
     assert report.verdict, report.mismatches[:5]
     assert report.details["branch_coverage_complete"]
+
+
+def test_each_residue_and_prime_class_is_served_by_one_row():
+    prime_classes = {6: (1, 2), 8: (1, 3, 5, 7)}
+    for M, rows in CASE_ROWS.items():
+        for m in range(M // 2 + 1):
+            for r in prime_classes[M]:
+                serving = [row.label for row in rows
+                           if m in row.residues and r in row.prime_classes]
+                assert len(serving) == 1, (M, m, r, serving)
+
+
+def test_branch_labels_keep_their_printed_order():
+    # cross_check's "branches_expected" lists them in this order
+    assert MOD6_BRANCHES == (
+        "m=0 (6), p=1 (3)",
+        "m=0 (6), p=2 (3)",
+        "m=1,5 (6), p=1 (3)",
+        "m=1,5 (6), p=2 (3)",
+        "m=2,4 (6), p=1 (3)",
+        "m=2,3,4 (6), p=2 (3)",
+        "m=3 (6), p=1 (3)",
+    )
+    assert MOD8_BRANCHES == (
+        "m=0 (8), p=1 (4)",
+        "m=0 (8), p=3 (8)",
+        "m=0 (8), p=7 (8)",
+        "m=2,6 (8), p=1 (4)",
+        "m=2,6 (8), p=3 (4)",
+        "m=4 (8), p=1 (4)",
+        "m=4 (8), p=3 (8)",
+        "m=4 (8), p=7 (8)",
+        "m=1,7 (8), p=1,3 (8)",
+        "m odd (8), p=5,7 (8)",
+        "m=3,5 (8), p=1,3 (8)",
+    )
+
+
+@pytest.mark.parametrize("M", [6, 8])
+def test_prime_table_script_prints_every_prime_without_mismatch(M, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_prime_tables.py"
+    spec = importlib.util.spec_from_file_location("reproduce_prime_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.print_table(M, 60)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"H_(m,{M})(p):"
+    rows = [line.split() for line in lines[2:] if line]
+    assert [int(row[0]) for row in rows] == \
+        [p for p in primes_up_to(60) if p >= FIRST_PRIME[M]]
+    assert all(len(row) == M + 1 for row in rows)
+    assert "*" not in "".join(lines)
 
 
 def test_cross_check_rejects_other_moduli():

@@ -1,3 +1,4 @@
+import types
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,14 @@ def test_pinned_values():
     assert hurwitz(-8) == 0
     assert hurwitz(1) == 0 and hurwitz(2) == 0
     assert hurwitz(5) == 0 and hurwitz(6) == 0
+
+
+def test_package_attribute_is_the_module():
+    from hclassnum import hurwitz as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.hurwitz(0) == Fraction(-1, 12)
+    assert callable(module.table_at_least)
 
 
 def test_against_canonical_reduction_oracle():
