@@ -28,9 +28,7 @@ from .sums import LatticeSumSpec, build_series
 
 __all__ = ["CliConfig", "build_parser", "run", "main"]
 
-# O(p^3) curve sweeps: warn past here ...
-_EC_WARN_P = 200
-# ... and refuse past here
+# largest p the curve sweeps accept
 _EC_MAX_P = 500
 # smallest --pmax that leaves a prime to check: the classical sums start at
 # p = 2, the curve oracle at p = 5
@@ -271,9 +269,6 @@ def _suite_jobs(suite: str, pmax: int, overshoot: int):
         capped = min(pmax, _EC_MAX_P)
         if capped < pmax:
             print(f"warning: ec suite capped at p <= {_EC_MAX_P}", file=sys.stderr)
-        if capped > _EC_WARN_P:
-            print(f"warning: curve sweeps are O(p^3); p up to {capped} may be slow",
-                  file=sys.stderr)
         jobs.append(("ec", lambda: [eccount.verify_curve_counts(capped).to_dict()]))
     return jobs
 
@@ -299,10 +294,7 @@ def _cmd_verify(config: CliConfig) -> int:
 def _cmd_ec_traces(config: CliConfig) -> int:
     p = config.params["p"]
     if p > _EC_MAX_P:
-        raise UsageError(f"p is capped at {_EC_MAX_P} (the sweep is O(p^3))")
-    if p > _EC_WARN_P:
-        print(f"warning: curve sweep at p = {p} is O(p^3); expect a wait",
-              file=sys.stderr)
+        raise UsageError(f"p is capped at {_EC_MAX_P}")
     try:
         dist = eccount.trace_distribution(p)
     except ValueError as exc:

@@ -1,22 +1,19 @@
 """Automorphism-weighted counts of elliptic curves over F_p by trace.
 
-For p > 3 every curve has a short Weierstrass model y^2 = x^3 + a*x + b
-with 4a^3 + 27b^2 != 0, and the isomorphism class of (a, b) is its orbit
-under (a, b) -> (u^4 a, u^6 b), whose size is (p - 1) / #Aut.  Counting
-raw pairs and dividing by p - 1 therefore yields the weighted count
+For p > 3 the weighted count N_A(p; t) = sum over classes with trace t of
+1 / #Aut equals the number of nonsingular pairs (a, b), y^2 = x^3 + a*x + b,
+with trace t = -sum_x chi_p(x^3 + a*x + b), divided by p - 1: the class of
+(a, b) is its orbit under (a, b) -> (u^4 a, u^6 b), of size (p - 1) / #Aut.
 
-    N_A(p; t) = sum over classes with trace t of 1 / #Aut
-
-without any j = 0 / j = 1728 casework.  The trace of a pair is
-
-    t = p + 1 - #E,   #E = 1 + sum_x (1 + chi_p(x^3 + a*x + b)),
-
-with chi_p the quadratic character (chi_p(0) = 0), so t = -sum_x chi_p(...).
-
-The (a, b) sweep is O(p^3) character evaluations; numpy does the integer
-counting (exactly, in int64) and this stays comfortable for p up to a few
-hundred.  These distributions are the independent oracle for the
-class-number identity 2 * N_A(p; t) = H(4p - t^2) when p does not divide t.
+The sweep runs over j-invariants (Schoof, JCTA 1987), counting in units of
+1 / (p - 1).  Each j != 0, 1728 has two classes with #Aut = 2, a curve and
+its quadratic twist, of traces t and -t: y^2 = x^3 + 3k*x + 2k with
+k = j / (1728 - j), k in F_p minus {0, -1}, adds (p - 1) / 2 at t and at -t.
+The j = 0 locus (a = 0, b != 0) and the j = 1728 locus (a != 0, b = 0) are
+swept pair by pair, 1 per pair.  Each trace is one O(p) numpy row in exact
+int64, taken a fixed block of rows at a time: O(p^2) time, O(p) memory.
+These distributions are the independent oracle for the class-number
+identity 2 * N_A(p; t) = H(4p - t^2) when p does not divide t.
 """
 from __future__ import annotations
 
@@ -31,6 +28,9 @@ from .numtheory import is_prime, primes_up_to
 from .reporting import CheckReport
 
 __all__ = ["TraceDistribution", "trace_distribution", "verify_curve_counts"]
+
+# rows per numpy block in _traces, so that memory stays O(p)
+_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -47,38 +47,38 @@ class TraceDistribution:
         return sum(self.weights.values(), Fraction(0))
 
 
+def _traces(coeffs, g, x3, chi) -> np.ndarray:
+    """t = -sum_x chi(x^3 + c*g(x)) for each c in coeffs, _ROWS rows at a time."""
+    p = len(chi)
+    out = np.empty(len(coeffs), dtype=np.int64)
+    for start in range(0, len(coeffs), _ROWS):
+        c = coeffs[start:start + _ROWS, None]
+        out[start:start + _ROWS] = -chi[(x3 + c * g) % p].sum(axis=1)
+    return out
+
+
 def trace_distribution(p: int) -> TraceDistribution:
     """Weighted curve counts for every trace over F_p, p > 3 prime."""
     if p <= 3 or not is_prime(p):
         raise ValueError("trace counts need a prime p > 3")
     xs = np.arange(p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int8)
     chi[0] = 0
-    chi[(xs[1:] * xs[1:]) % p] = 1
-    # one square root per quadratic residue, for locating singular pairs
-    root = np.zeros(p, dtype=np.int64)
-    root[(xs[1:] * xs[1:]) % p] = xs[1:]
-    # chi shifted: SHIFT[v, b] = chi(v + b), so counts @ SHIFT sums chi over x
-    shift = chi[(xs[:, None] + xs[None, :]) % p]
-    x3 = (xs * xs % p) * xs % p
-    inv27 = pow(27, -1, p)
+    chi[xs[1:] * xs[1:] % p] = 1
+    x3 = xs * xs % p * xs % p
+    units = xs[1:]
+    # k = 1 .. p - 2: one curve per j != 0, 1728; its twist has trace -t
+    generic = _traces(units[:-1], (3 * xs + 2) % p, x3, chi)
+    # the j = 0 and j = 1728 loci, pair by pair: y^2 = x^3 + b, y^2 = x^3 + a*x
+    raw = np.concatenate((_traces(units, np.ones(p, dtype=np.int64), x3, chi),
+                          _traces(units, xs, x3, chi)))
     tmax = isqrt(4 * p)
-    hist = np.zeros(2 * tmax + 1, dtype=np.int64)  # index t + tmax
-    for a in range(p):
-        vals = (x3 + a * xs) % p
-        counts = np.bincount(vals, minlength=p)
-        traces = -(counts @ shift)
-        if np.max(np.abs(traces)) > tmax:
-            raise AssertionError("trace outside the Hasse range")
-        keep = np.ones(p, dtype=bool)
-        rhs = (-4 * pow(a, 3, p) * inv27) % p  # b^2 = rhs marks singular pairs
-        if rhs == 0:
-            keep[0] = False
-        elif chi[rhs] == 1:
-            r = int(root[rhs])
-            keep[r] = False
-            keep[p - r] = False
-        hist += np.bincount(traces[keep] + tmax, minlength=2 * tmax + 1)
+    if max(np.abs(generic).max(), np.abs(raw).max()) > tmax:
+        raise AssertionError("trace outside the Hasse range")
+    size = 2 * tmax + 1  # index t + tmax, counts in units of 1 / (p - 1)
+    hist = ((p - 1) // 2 * (np.bincount(tmax + generic, minlength=size)
+                            + np.bincount(tmax - generic, minlength=size))
+            + np.bincount(tmax + raw, minlength=size))
     weights = {
         int(t - tmax): Fraction(int(c), p - 1)
         for t, c in enumerate(hist)

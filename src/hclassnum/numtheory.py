@@ -26,13 +26,21 @@ __all__ = [
     "represent",
 ]
 
-# Deterministic Miller-Rabin witness set; correct for all n < 3.3 * 10^24,
-# comfortably past 2^64.
+# Deterministic Miller-Rabin witness set: the first 12 primes are proven for
+# every n below psi_12 = 399165290221 * 798330580441, about 3.2 * 10^23
+# (Sorenson and Webster, Math. Comp. 2017), comfortably past 2^64.  psi_12 is
+# a strong pseudoprime to all twelve, so is_prime refuses it and beyond.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PROVEN_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for anything up to 64-bit scale."""
+    """Deterministic primality test for n < psi_12 (about 3.2 * 10^23).
+
+    Raises ValueError for larger n, where the witness set is not proven.
+    """
+    if n >= _MR_PROVEN_BELOW:
+        raise ValueError(f"is_prime is proven only below {_MR_PROVEN_BELOW}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: class numbers come from
 a box scan plus canonical reduction instead of direct reduced enumeration,
 brackets and products from literal double sums over Fractions instead of
-the integer operator pipeline, and primality from trial division.
+the integer operator pipeline, curve counts from every raw Weierstrass pair
+instead of one curve per j-invariant, and primality from trial division.
 """
 from __future__ import annotations
 
@@ -131,3 +132,53 @@ def lambda_naive(ell: int, m: int, M: int, n: int) -> Fraction:
                     if (t - sign * m) % M == 0:
                         total += w * (t - s) ** ell
     return total
+
+
+def trace_distribution_pairs(p: int):
+    """Curve oracle over every raw pair (a, b) with 4a^3 + 27b^2 != 0.
+
+    Each nonsingular pair counts 1 / (p - 1) at its trace; O(p^3) time and
+    a p x p table, so keep p small.
+    """
+    # imported here: perfbench/references.py loads this file for
+    # hurwitz_naive alone, without the package on the path
+    import numpy as np
+
+    from hclassnum.eccount import TraceDistribution
+
+    if p <= 3 or not trial_division_prime(p):
+        raise ValueError("trace counts need a prime p > 3")
+    xs = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int64)
+    chi[0] = 0
+    chi[(xs[1:] * xs[1:]) % p] = 1
+    # one square root per quadratic residue, for locating singular pairs
+    root = np.zeros(p, dtype=np.int64)
+    root[(xs[1:] * xs[1:]) % p] = xs[1:]
+    # chi shifted: SHIFT[v, b] = chi(v + b), so counts @ SHIFT sums chi over x
+    shift = chi[(xs[:, None] + xs[None, :]) % p]
+    x3 = (xs * xs % p) * xs % p
+    inv27 = pow(27, -1, p)
+    tmax = isqrt(4 * p)
+    hist = np.zeros(2 * tmax + 1, dtype=np.int64)  # index t + tmax
+    for a in range(p):
+        vals = (x3 + a * xs) % p
+        counts = np.bincount(vals, minlength=p)
+        traces = -(counts @ shift)
+        if np.max(np.abs(traces)) > tmax:
+            raise AssertionError("trace outside the Hasse range")
+        keep = np.ones(p, dtype=bool)
+        rhs = (-4 * pow(a, 3, p) * inv27) % p  # b^2 = rhs marks singular pairs
+        if rhs == 0:
+            keep[0] = False
+        elif chi[rhs] == 1:
+            r = int(root[rhs])
+            keep[r] = False
+            keep[p - r] = False
+        hist += np.bincount(traces[keep] + tmax, minlength=2 * tmax + 1)
+    weights = {
+        int(t - tmax): Fraction(int(c), p - 1)
+        for t, c in enumerate(hist)
+        if c
+    }
+    return TraceDistribution(p=p, weights=weights)

@@ -116,6 +116,11 @@ def test_hsum_command(capsys):
     assert "x=2" in lines[2]
     code, _, err = invoke(capsys, "hsum", "--modulus", "6", "--m", "0", "--p", "4")
     assert code == 2
+    # past the proven range of is_prime there is no answer to give
+    code, out, err = invoke(capsys, "hsum", "--modulus", "8", "--m", "1",
+                            "--p", "318665857834031151167461")
+    assert code == 2
+    assert out == "" and "proven only below" in err
 
 
 def test_cross_check_command(capsys):
@@ -177,6 +182,13 @@ def test_ec_traces_caps_p(capsys):
     code, _, err = invoke(capsys, "ec-traces", "--p", "701")
     assert code == 2
     assert "capped" in err
+
+
+def test_ec_traces_below_the_cap_is_quiet(capsys):
+    code, out, err = invoke(capsys, "ec-traces", "--p", "499")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[-1] == "mass: 499"
 
 
 def test_ec_suite_small(capsys):

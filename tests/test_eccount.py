@@ -5,6 +5,9 @@ import pytest
 
 from hclassnum.eccount import trace_distribution, verify_curve_counts
 from hclassnum.hurwitz import hurwitz, moment_sum
+from hclassnum.numtheory import primes_up_to
+
+from oracles import trace_distribution_pairs
 
 
 def test_rejects_bad_p():
@@ -46,6 +49,15 @@ def test_twist_symmetry_off_p():
                 assert dist.weight(t) == dist.weight(-t), (p, t)
 
 
+def test_j_sweep_matches_raw_pair_sweep():
+    # p = 5 .. 97 covers every class of p mod 12, so the j = 0 and j = 1728
+    # loci each appear both split and inert
+    primes = [p for p in primes_up_to(97) if p > 3]
+    assert {p % 12 for p in primes} == {1, 5, 7, 11}
+    for p in primes:
+        assert trace_distribution(p) == trace_distribution_pairs(p), p
+
+
 def test_curve_count_identity_small():
     report = verify_curve_counts(13)
     assert report.verdict, report.mismatches[:5]
@@ -54,8 +66,10 @@ def test_curve_count_identity_small():
 
 @pytest.mark.slow
 def test_curve_count_identity_extended():
-    report = verify_curve_counts(97)
+    # every prime below the ec-traces cap of 500, as the curves benchmark runs it
+    report = verify_curve_counts(499)
     assert report.verdict, report.mismatches[:5]
+    assert report.checked == 5180
 
 
 def test_restricted_closure_against_class_number_sums():

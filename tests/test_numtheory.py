@@ -144,6 +144,17 @@ def test_is_prime_vs_trial_division():
     assert not is_prime(2**64 - 1)
 
 
+def test_is_prime_refuses_past_its_proven_range():
+    # psi_12 is composite but a strong pseudoprime to all twelve witnesses
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == 318665857834031151167461
+    with pytest.raises(ValueError):
+        is_prime(psi12)
+    with pytest.raises(ValueError):
+        is_prime(psi12 + 2)
+    assert not is_prime(psi12 - 1)
+
+
 def test_primes_up_to():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_up_to(1) == []
