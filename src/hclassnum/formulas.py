@@ -10,15 +10,21 @@ folds it through H_{m,M} = H_{-m,M}, and evaluates the one row that serves
 (m, p).
 
 Values are exact rationals; thirds and halves are legitimate because class
-numbers carry them.  cross_check replays every (prime, residue) pair against
-the brute-force moment_sum and reports which table rows fired.
+numbers carry them.  cross_check checks every (prime, residue) pair against
+the brute-force t-scan and reports which table rows fired.  It works one
+prime at a time: the primes come from the sieve, so primality is not tested
+again; all M residues go through the evaluator behind h_formula with one
+cache, so represent runs once per form; and one residue_sums gather gives
+all M brute-force sums.  At the first prime where each row fires, that cell
+is also computed by the scalar paths h_formula and moment_sum, which must
+agree with the batched ones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hurwitz import moment_sum, table_at_least
+from .hurwitz import moment_sum, residue_sums, table_at_least
 from .numtheory import (
     CHI_MINUS3,
     CHI_MINUS4,
@@ -121,16 +127,31 @@ def h_formula(M: int, p: int, m: int) -> FormulaResult:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
     if p < FIRST_PRIME[M] or not is_prime(p):
         raise ValueError(f"H_(m,{M})(p) needs a prime p >= {FIRST_PRIME[M]}")
+    return _evaluate(M, p, m, {})
+
+
+def _evaluate(M: int, p: int, m: int,
+              reps: dict[int, tuple[PrimeRepresentation, int]]) -> FormulaResult:
+    """h_formula for a p already known to be a prime it accepts.
+
+    reps belongs to this one p and maps each form n to represent(p, n) and
+    chi(x)*x; it is filled on first use, so residues that read the same
+    form share one representation.
+    """
     row = _ROW_AT[M, _fold(m, M), p % _PRIME_CLASS_MODULUS[M]]
-    a, b, c = row.linear
-    value = Fraction(a * p + b, c)
-    rep = None
+    rep, chi_x = None, 0
     if row.form is not None:
-        rep = represent(p, row.form)
-        chi = CHI_MINUS3 if row.form == 3 else CHI_MINUS4
-        value += row.chi_coeff * chi(rep.x) * rep.x
-    return FormulaResult(p=p, m=m, M=M, value=value, branch=row.label,
-                         representation=rep)
+        if row.form not in reps:
+            found = represent(p, row.form)
+            chi = CHI_MINUS3 if row.form == 3 else CHI_MINUS4
+            reps[row.form] = found, int(chi(found.x)) * found.x
+        rep, chi_x = reps[row.form]
+    # (a*p + b)/c + (k/d)*chi(x)*x over the common denominator c*d
+    a, b, c = row.linear
+    k, d = row.chi_coeff.numerator, row.chi_coeff.denominator
+    return FormulaResult(p=p, m=m, M=M,
+                         value=Fraction((a * p + b) * d + c * k * chi_x, c * d),
+                         branch=row.label, representation=rep)
 
 
 def cross_check(M: int, p_max: int) -> CheckReport:
@@ -149,13 +170,19 @@ def cross_check(M: int, p_max: int) -> CheckReport:
     for p in primes_up_to(p_max):
         if p < p_min:
             continue
-        for m in range(M):
+        reps: dict[int, tuple[PrimeRepresentation, int]] = {}
+        for m, brute in enumerate(residue_sums(M, p)):
             checked += 1
-            result = h_formula(M, p, m)
-            branches.add(result.branch)
-            brute = moment_sum(0, m, M, p)
+            result = _evaluate(M, p, m, reps)
             if result.value != brute:
                 mismatches.append((p, m, result.value, brute, result.branch))
+            if result.branch not in branches:
+                branches.add(result.branch)
+                # the row's first cell, again by the scalar paths
+                scalar = h_formula(M, p, m)
+                scalar_brute = moment_sum(0, m, M, p)
+                if scalar != result or scalar_brute != brute:
+                    mismatches.append((p, m, scalar.value, scalar_brute, scalar.branch))
     expected = [row.label for row in CASE_ROWS[M]]
     return CheckReport(
         name=f"closed form vs brute force (mod {M})",

@@ -15,8 +15,10 @@ The restricted sums are
 
     H_{kappa,m,M}(n) = sum over t = m (mod M), t^2 <= 4n of H(4n - t^2) t^kappa,
 
-with H_{m,M} = H_{0,m,M}.  moment_sum computes them by direct t-scans over
-the table; restricted_series packages them as a q-expansion, which doubles
+with H_{m,M} = H_{0,m,M}.  moment_sum computes one of them by a direct
+t-scan over the table; residue_sums gives H_{m,M}(n) for every m at once
+from one gather of the values H(4n - t^2), which is what the sweeps over
+primes use; restricted_series packages them as a q-expansion, which doubles
 as the independent oracle for the operator-built series elsewhere.
 """
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "hurwitz",
     "hurwitz_series",
     "moment_sum",
+    "residue_sums",
     "restricted_series",
 ]
 
@@ -127,6 +130,26 @@ def moment_sum(kappa: int, m: int, M: int, n: int) -> Fraction:
     for t in range(start, tmax + 1, M):
         total += v[four_n - t * t] * t**kappa
     return Fraction(total, 12)
+
+
+def residue_sums(M: int, n: int) -> list[Fraction]:
+    """[H_{0,M}(n), H_{1,M}(n), ..., H_{M-1,M}(n)] from one gather.
+
+    The values 12*H(4n - t^2) for 0 <= t <= sqrt(4n) are read once; class
+    r of t >= 0 is one slice of them, and -t falls in class -r, so every
+    residue costs one slice sum.  Equal to moment_sum(0, m, M, n) for each m.
+    """
+    if M < 1:
+        raise ValueError("modulus must be positive")
+    if n < 0:
+        raise ValueError("argument must be nonnegative")
+    four_n = 4 * n
+    v = table_at_least(four_n + 1).values12
+    vals = [v[four_n - t * t] for t in range(isqrt(four_n) + 1)]
+    half = [sum(vals[r::M]) for r in range(M)]
+    # t = 0 is its own negative, so class 0 must not count it twice
+    return [Fraction(half[m] + half[-m % M] - (vals[0] if m == 0 else 0), 12)
+            for m in range(M)]
 
 
 def restricted_series(m: int, M: int, precision: int) -> QSeries:

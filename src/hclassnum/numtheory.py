@@ -1,7 +1,8 @@
 """Elementary number theory shared by the rest of the package.
 
 Primality, divisor sums, the extended Kronecker symbol, real Dirichlet
-characters, and representations of primes by the forms x^2 + n*y^2.
+characters, and representations of primes by the forms x^2 + n*y^2
+(Cornacchia's algorithm over a Tonelli-Shanks square root).
 Everything is exact integer or rational arithmetic; no floats anywhere.
 """
 from __future__ import annotations
@@ -245,19 +246,56 @@ class PrimeRepresentation:
             raise ValueError("not a representation: x^2 + n*y^2 != p")
 
 
-def represent(p: int, n: int) -> PrimeRepresentation | None:
-    """Search for p = x^2 + n*y^2 with x, y >= 0; None when no solution exists.
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo the prime p, for a a square mod p.
 
-    Exhaustive scan over y <= sqrt(p/n); at desk scale this is cheaper to
-    trust than Cornacchia.  For n >= 2 the returned pair is the unique one.
+    Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1).
+    """
+    a %= p
+    if a < 2:
+        return a
+    # p - 1 = q * 2^e with q odd; z is any nonresidue
+    e = ((p - 1) & -(p - 1)).bit_length() - 1
+    q = (p - 1) >> e
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    y, x, b = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while b != 1:
+        # order of b is 2^k with k < e
+        k, b2 = 1, b * b % p
+        while b2 != 1:
+            k, b2 = k + 1, b2 * b2 % p
+        t = pow(y, 1 << (e - k - 1), p)
+        y = t * t % p
+        e, x, b = k, x * t % p, b * y % p
+    return x
+
+
+def represent(p: int, n: int) -> PrimeRepresentation | None:
+    """Solve p = x^2 + n*y^2 with x, y >= 0; None when no solution exists.
+
+    Cornacchia's algorithm (Cohen, GTM 138, Algorithm 1.5.2): a square root
+    of -n modulo p, then the Euclidean algorithm on (p, root) stopped at the
+    first remainder below sqrt(p), so the cost is polynomial in log p.  For
+    n >= 2 the pair is unique; for n = 1 that remainder is the larger of the
+    two squares' roots, so the pair comes with y <= x.
     """
     if n < 1:
         raise ValueError("form coefficient n must be positive")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    for y in range(isqrt(p // n) + 1):
-        rest = p - n * y * y
-        x = isqrt(rest)
-        if x * x == rest:
-            return PrimeRepresentation(x=x, y=y, n=n, p=p)
-    return None
+    if n >= p:
+        # only y = 0 (never, p is not a square) or y = 1 with n = p
+        return PrimeRepresentation(x=0, y=1, n=n, p=p) if n == p else None
+    if p > 2 and pow(-n % p, (p - 1) // 2, p) != 1:
+        return None
+    r = _sqrt_mod(-n, p)
+    a, b, bound = p, max(r, p - r), isqrt(p)
+    while b > bound:
+        a, b = b, a % b
+    yy, rest = divmod(p - b * b, n)
+    y = isqrt(yy)
+    if rest or y * y != yy:
+        return None
+    return PrimeRepresentation(x=b, y=y, n=n, p=p)

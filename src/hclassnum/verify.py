@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 
 from .forms import d_series, psi_series, theta_mM
-from .hurwitz import hurwitz_series, moment_sum, restricted_series, table_at_least
+from .hurwitz import hurwitz_series, residue_sums, restricted_series, table_at_least
 from .numtheory import (
     CHI_MINUS3,
     CHI_MINUS4,
@@ -350,13 +350,15 @@ def verify_classical(p_max: int = 2000) -> CheckReport:
     mismatches: list[tuple] = []
     checked = 0
     for p in primes_up_to(p_max):
+        # one gather: the five classes mod 5 together are the full sum
+        sums5 = residue_sums(5, p)
         checked += 1
-        total = moment_sum(0, 0, 1, p)
+        total = sum(sums5)
         if total != 2 * p:
             mismatches.append(("eichler", p, total, 2 * p))
         if p >= 7:
             checked += 1
-            got = moment_sum(0, 0, 5, p)
+            got = sums5[0]
             want = _h05_expected(p)
             if got != want:
                 mismatches.append(("h05", p, got, want))

@@ -4,7 +4,8 @@ These deliberately avoid the production code paths: class numbers come from
 a box scan plus canonical reduction instead of direct reduced enumeration,
 brackets and products from literal double sums over Fractions instead of
 the integer operator pipeline, curve counts from every raw Weierstrass pair
-instead of one curve per j-invariant, and primality from trial division.
+instead of one curve per j-invariant, primality from trial division, and
+representations p = x^2 + n*y^2 from a scan over y instead of Cornacchia.
 """
 from __future__ import annotations
 
@@ -21,6 +22,19 @@ def trial_division_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def represent_scan(p: int, n: int) -> tuple[int, int] | None:
+    """(x, y) with p = x^2 + n*y^2, x, y >= 0 and y smallest; None if none.
+
+    Exhaustive scan over 0 <= y <= sqrt(p/n).
+    """
+    for y in range(isqrt(p // n) + 1):
+        rest = p - n * y * y
+        x = isqrt(rest)
+        if x * x == rest:
+            return x, y
+    return None
 
 
 def reduce_form(a: int, b: int, c: int) -> tuple[int, int, int]:

@@ -123,6 +123,18 @@ def test_hsum_command(capsys):
     assert out == "" and "proven only below" in err
 
 
+def test_hsum_at_a_large_prime(capsys):
+    # 10^18 + 3 = 1 (mod 3) and 3 (mod 8): rows that read x^2 + 3y^2 and
+    # x^2 + 2y^2, far past the reach of a scan over y
+    p = 1000000000000000003
+    for modulus, m, n in (("6", "0", 3), ("8", "1", 2)):
+        code, out, _ = invoke(capsys, "hsum", "--modulus", modulus, "--m", m,
+                              "--p", str(p), "--explain", "--format", "json")
+        assert code == 0
+        rep = json.loads(out)["result"]["representation"]
+        assert rep["n"] == n and rep["x"] ** 2 + n * rep["y"] ** 2 == p
+
+
 def test_cross_check_command(capsys):
     code, out, _ = invoke(capsys, "cross-check", "--modulus", "6",
                           "--pmax", "300", "--format", "json")

@@ -1,9 +1,11 @@
+import dataclasses
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hclassnum import formulas
 from hclassnum.formulas import (
     CASE_ROWS,
     FIRST_PRIME,
@@ -12,7 +14,7 @@ from hclassnum.formulas import (
     cross_check,
     h_formula,
 )
-from hclassnum.hurwitz import moment_sum
+from hclassnum.hurwitz import moment_sum, residue_sums
 from hclassnum.numtheory import CHI_MINUS3, CHI_MINUS4, primes_up_to
 
 
@@ -158,3 +160,51 @@ def test_prime_table_script_prints_every_prime_without_mismatch(M, capsys):
 def test_cross_check_rejects_other_moduli():
     with pytest.raises(ValueError):
         cross_check(5, 100)
+
+
+def test_evaluator_with_a_shared_cache_matches_h_formula():
+    # cross_check's path: one cache per prime, shared by every residue
+    for p in primes_up_to(2 * 10**4):
+        for M in (6, 8):
+            if p < FIRST_PRIME[M]:
+                continue
+            reps = {}
+            for m in range(-M, 2 * M):
+                assert formulas._evaluate(M, p, m, reps) == h_formula(M, p, m), (M, p, m)
+
+
+@pytest.mark.parametrize("M,checked", [(6, 13560), (8, 18088)])
+def test_cross_check_counts_every_prime_and_residue_once(M, checked):
+    report = cross_check(M, 2 * 10**4)
+    assert report.checked == checked
+    assert report.verdict and report.details["branch_coverage_complete"]
+
+
+@pytest.mark.parametrize("M,index", [(M, i) for M in (6, 8) for i in range(len(CASE_ROWS[M]))])
+def test_cross_check_catches_a_wrong_row(M, index, monkeypatch):
+    row = CASE_ROWS[M][index]
+    a, b, c = row.linear
+    wrong = dataclasses.replace(row, linear=(a, b + c, c))  # off by one everywhere
+    rows = list(CASE_ROWS[M])
+    rows[index] = wrong
+    monkeypatch.setitem(formulas.CASE_ROWS, M, tuple(rows))
+    for key, served in formulas._ROW_AT.items():
+        if served is row:
+            monkeypatch.setitem(formulas._ROW_AT, key, wrong)
+    report = cross_check(M, 100)
+    assert not report.verdict
+    assert report.mismatches and {bad[-1] for bad in report.mismatches} == {row.label}
+
+
+def test_cross_check_compares_the_scalar_paths(monkeypatch):
+    # one cell per row also goes through h_formula and moment_sum; a scalar
+    # value that disagrees with the batched one is a mismatch of its own,
+    # and these extra cells are not counted as checks
+    clean = cross_check(8, 60)
+    monkeypatch.setattr(formulas, "moment_sum",
+                        lambda kappa, m, M, n: moment_sum(kappa, m, M, n) + 1)
+    report = cross_check(8, 60)
+    assert report.checked == clean.checked
+    assert len(report.mismatches) == len(CASE_ROWS[8])
+    for p, m, value, brute, label in report.mismatches:
+        assert brute == residue_sums(8, p)[m] + 1 and value == h_formula(8, p, m).value

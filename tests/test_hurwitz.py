@@ -9,6 +9,7 @@ from hclassnum.hurwitz import (
     hurwitz,
     hurwitz_series,
     moment_sum,
+    residue_sums,
     restricted_series,
     table_at_least,
 )
@@ -122,3 +123,14 @@ def test_moment_sum_validates():
         moment_sum(0, 0, 0, 5)
     with pytest.raises(ValueError):
         moment_sum(0, 0, 1, -1)
+
+
+def test_residue_sums_match_moment_sum():
+    for p in primes_up_to(5000):
+        for M in (1, 5, 6, 8):
+            assert residue_sums(M, p) == [moment_sum(0, m, M, p) for m in range(M)], (M, p)
+    assert residue_sums(3, 0) == [Fraction(-1, 12), 0, 0]
+    with pytest.raises(ValueError):
+        residue_sums(0, 7)
+    with pytest.raises(ValueError):
+        residue_sums(6, -1)

@@ -18,7 +18,7 @@ from hclassnum.numtheory import (
     represent,
     sigma,
 )
-from oracles import trial_division_prime
+from oracles import represent_scan, trial_division_prime
 
 # residue tables for the two odd quadratic characters
 _CHI3_TABLE = {0: 0, 1: 1, 2: -1}
@@ -166,6 +166,36 @@ def test_represent_examples():
     r = represent(5, 4)
     assert (r.x, r.y) == (1, 1)
     assert represent(11, 4) is None
+    # p dividing n, and n past p
+    assert (represent(3, 3).x, represent(3, 3).y) == (0, 1)
+    assert (represent(2, 2).x, represent(2, 2).y) == (0, 1)
+    assert (represent(2, 1).x, represent(2, 1).y) == (1, 1)
+    assert represent(3, 6) is None and represent(5, 7) is None
+
+
+def _pair(rep):
+    return None if rep is None else (rep.x, rep.y)
+
+
+def test_represent_matches_scan():
+    # Cornacchia against the exhaustive scan, which for n = 1 also fixes
+    # the order of the pair (smallest y first)
+    for p in primes_up_to(10**5):
+        for n in (1, 2, 3, 4):
+            assert _pair(represent(p, n)) == represent_scan(p, n), (p, n)
+    for p in primes_up_to(10**4):
+        for n in range(5, 13):
+            assert _pair(represent(p, n)) == represent_scan(p, n), (p, n)
+
+
+def test_represent_at_large_primes():
+    # far past any scan: 10^18 + 3 = 1 (mod 3) and 3 (mod 8); 10^18 + 9
+    # = 1 (mod 8) takes the full Tonelli-Shanks loop
+    for p, forms in ((10**18 + 3, (2, 3)), (10**18 + 9, (1, 2, 3, 4))):
+        for n in forms:
+            r = represent(p, n)
+            assert r.x * r.x + n * r.y * r.y == p
+    assert represent(10**18 + 3, 1) is None and represent(10**18 + 3, 4) is None
 
 
 def test_represent_rejects_bad_input():

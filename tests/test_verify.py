@@ -117,6 +117,13 @@ def test_verify_classical():
     assert all(kind != "h05" or p >= 7 for kind, p, *_ in report.mismatches)
 
 
+def test_verify_classical_counts():
+    # every prime once for the full sum, every prime from 7 on for H_{0,5}
+    report = verify_classical(2 * 10**4)
+    assert report.checked == 4521
+    assert report.verdict, report.mismatches[:5]
+
+
 def test_identity_rhs_rejects_unknown_term():
     spec = replace(MOD6_IDENTITIES[0],
                    rhs=(RhsTerm(Fraction(1), "mystery", ()),))
