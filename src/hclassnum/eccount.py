@@ -9,28 +9,42 @@ The sweep runs over j-invariants (Schoof, JCTA 1987), counting in units of
 1 / (p - 1).  Each j != 0, 1728 has two classes with #Aut = 2, a curve and
 its quadratic twist, of traces t and -t: y^2 = x^3 + 3k*x + 2k with
 k = j / (1728 - j), k in F_p minus {0, -1}, adds (p - 1) / 2 at t and at -t.
-The j = 0 locus (a = 0, b != 0) and the j = 1728 locus (a != 0, b = 0) are
-swept pair by pair, 1 per pair.  Each trace is one O(p) numpy row in exact
-int64, taken a fixed block of rows at a time: O(p^2) time, O(p) memory.
-These distributions are the independent oracle for the class-number
-identity 2 * N_A(p; t) = H(4p - t^2) when p does not divide t.
+The j = 0 locus (a = 0, b != 0) and the j = 1728 locus (a != 0, b = 0)
+count 1 per pair.
+
+Each of the three families of traces is one cyclic correlation over Z/p of
+a small integer weight vector w with chi = chi_p, t_k = -c - sum_u w[u]
+chi(u + k):
+
+* generic j: with d = 3x + 2, chi(x^3 + k*d) = chi(d) chi(x^3 / d + k) for
+  d != 0, so w[u] = sum of chi(d) over the x with d != 0 and x^3 / d = u,
+  and c = chi(x0^3) at the root x0 = -2/3 of d;
+* j = 0: w[u] = #{x : x^3 = u} and c = 0;
+* j = 1728: x^3 + a*x = x (x^2 + a), so w[u] = sum of chi(x) over the
+  x != 0 with x^2 = u, and c = 0.
+
+With chi = e - 1, e in {0, 1, 2}, and w shifted to be nonnegative, every
+term of a correlation is nonnegative, so all p sums of a family are the
+slots of one product of two packed integers (_correlation).  A prime costs
+O(p) integer work, O(p) memory and three big-integer products, with the
+standard library alone (no numpy); nothing is rounded.  These
+distributions are the independent oracle for the class-number identity
+2 * N_A(p; t) = H(4p - t^2) when p does not divide t.
 """
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-
-import numpy as np
 
 from .hurwitz import hurwitz, table_at_least
 from .numtheory import is_prime, primes_up_to
 from .reporting import CheckReport
 
 __all__ = ["TraceDistribution", "trace_distribution", "verify_curve_counts"]
-
-# rows per numpy block in _traces, so that memory stays O(p)
-_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -47,43 +61,84 @@ class TraceDistribution:
         return sum(self.weights.values(), Fraction(0))
 
 
-def _traces(coeffs, g, x3, chi) -> np.ndarray:
-    """t = -sum_x chi(x^3 + c*g(x)) for each c in coeffs, _ROWS rows at a time."""
-    p = len(chi)
-    out = np.empty(len(coeffs), dtype=np.int64)
-    for start in range(0, len(coeffs), _ROWS):
-        c = coeffs[start:start + _ROWS, None]
-        out[start:start + _ROWS] = -chi[(x3 + c * g) % p].sum(axis=1)
-    return out
+def _slot_code(bound: int) -> str:
+    """The narrowest array typecode whose unsigned slots hold 0..bound."""
+    for code in "BHIQ":
+        if bound < 1 << 8 * array(code).itemsize:
+            return code
+    raise OverflowError("correlation sums too large to pack")
+
+
+def _pack(values: list[int], code: str) -> int:
+    """sum_i values[i] * X^i at X = 2^(8 * slot size)."""
+    slots = array(code, values)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def _correlation(w: list[int], e: list[int]) -> list[int]:
+    """[sum_u w[u] * (e[(u + k) % p] - 1) for k in range(p)], p = len(e).
+
+    Entries of e lie in {0, 1, 2}.  Reversed and shifted by its minimum, w
+    is nonnegative; times e repeated to length 2p - 1, slot p - 1 + k of
+    the product is sum_u (w[u] - low) e[u + k].  No slot of the product
+    exceeds 2 * sum(w - low), which fixes the slot width.
+    """
+    p = len(e)
+    low = min(w)
+    shifted = [v - low for v in reversed(w)]
+    code = _slot_code(2 * sum(shifted))
+    size = array(code).itemsize
+    product = _pack(shifted, code) * _pack(e + e[:-1], code)
+    packed = product.to_bytes(3 * p * size, "little")
+    slots = array(code)
+    slots.frombytes(packed[(p - 1) * size:(2 * p - 1) * size])
+    if sys.byteorder == "big":
+        slots.byteswap()
+    offset = low * sum(e) - sum(w)
+    return [s + offset for s in slots]
 
 
 def trace_distribution(p: int) -> TraceDistribution:
     """Weighted curve counts for every trace over F_p, p > 3 prime."""
     if p <= 3 or not is_prime(p):
         raise ValueError("trace counts need a prime p > 3")
-    xs = np.arange(p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int8)
-    chi[0] = 0
-    chi[xs[1:] * xs[1:] % p] = 1
-    x3 = xs * xs % p * xs % p
-    units = xs[1:]
-    # k = 1 .. p - 2: one curve per j != 0, 1728; its twist has trace -t
-    generic = _traces(units[:-1], (3 * xs + 2) % p, x3, chi)
-    # the j = 0 and j = 1728 loci, pair by pair: y^2 = x^3 + b, y^2 = x^3 + a*x
-    raw = np.concatenate((_traces(units, np.ones(p, dtype=np.int64), x3, chi),
-                          _traces(units, xs, x3, chi)))
+    e = [0] * p  # chi + 1
+    e[0] = 1
+    for x in range(1, (p + 1) // 2):
+        e[x * x % p] = 2
+    cubes = [x * x % p * x % p for x in range(p)]
+    inverse = [0, 1]
+    for d in range(2, p):
+        inverse.append(-(p // d) * inverse[p % d] % p)
+    # generic j, k = 1 .. p - 2: x = (d - 2) / 3 as d runs over F_p^*
+    third = pow(3, -1, p)
+    w = [0] * p
+    for d in range(1, p):
+        w[cubes[(d - 2) * third % p] * inverse[d] % p] += e[d] - 1
+    root = e[cubes[-2 * third % p]] - 1
+    generic = [-root - s for s in _correlation(w, e)[1:-1]]
+    # y^2 = x^3 + b, b != 0, and y^2 = x^3 + a*x, a != 0
+    w = [0] * p
+    for u in cubes:
+        w[u] += 1
+    loci = [-s for s in _correlation(w, e)[1:]]
+    w = [0] * p
+    for x in range(1, p):
+        w[x * x % p] += e[x] - 1
+    loci += [-s for s in _correlation(w, e)[1:]]
     tmax = isqrt(4 * p)
-    if max(np.abs(generic).max(), np.abs(raw).max()) > tmax:
+    if max(map(abs, generic + loci)) > tmax:
         raise AssertionError("trace outside the Hasse range")
-    size = 2 * tmax + 1  # index t + tmax, counts in units of 1 / (p - 1)
-    hist = ((p - 1) // 2 * (np.bincount(tmax + generic, minlength=size)
-                            + np.bincount(tmax - generic, minlength=size))
-            + np.bincount(tmax + raw, minlength=size))
-    weights = {
-        int(t - tmax): Fraction(int(c), p - 1)
-        for t, c in enumerate(hist)
-        if c
-    }
+    hist = [0] * (2 * tmax + 1)  # index t + tmax, counts in units of 1 / (p - 1)
+    half = (p - 1) // 2
+    for t, n in Counter(generic).items():
+        hist[tmax + t] += half * n
+        hist[tmax - t] += half * n
+    for t, n in Counter(loci).items():
+        hist[tmax + t] += n
+    weights = {t - tmax: Fraction(c, p - 1) for t, c in enumerate(hist) if c}
     return TraceDistribution(p=p, weights=weights)
 
 

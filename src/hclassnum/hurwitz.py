@@ -9,7 +9,10 @@ H(n) = 0 unless n = 0 or n = 0, 3 (mod 4).
 The table builder walks each reduced form (a, b, c), meaning
 -a < b <= a <= c with b >= 0 when a = c, exactly once.  That enumeration
 hits imprimitive forms too, so no class-number formula fix-ups are needed,
-and 12*H(n) is an integer so the table stores the scaled values.
+and 12*H(n) is an integer so the table stores the scaled values.  A single
+H(n) that the shared table does not cover walks only the reduced forms of
+discriminant -n (Cohen, GTM 138, Algorithm 5.3.5): O(n) time, and the table
+is left as it is.
 
 The restricted sums are
 
@@ -98,11 +101,42 @@ def table_at_least(limit: int) -> HurwitzTable:
         return _table
 
 
+def _forms12(n: int) -> int:
+    """12*H(n) for n > 0, n = 0 or 3 (mod 4), from the reduced forms of -n.
+
+    Each reduced (a, b, c) with b >= 0 has b = n (mod 2), 3b^2 <= n and
+    a | (b^2 + n)/4 with b <= a <= c; for b > 0, a < c and a > b it stands
+    for the two classes (a, +-b, c).  O(n) time, O(1) memory.
+    """
+    total = 0
+    for b in range(n % 2, isqrt(n // 3) + 1, 2):
+        ac = (b * b + n) // 4
+        for a in range(max(b, 1), isqrt(ac) + 1):
+            if ac % a:
+                continue
+            if a == b == ac // a:
+                total += 4  # a(x^2+xy+y^2), weight 1/3
+            elif b == 0 and a * a == ac:
+                total += 6  # a(x^2+y^2), weight 1/2
+            elif b == 0 or a == b or a * a == ac:
+                total += 12
+            else:
+                total += 24
+    return total
+
+
 def hurwitz(n: int) -> Fraction:
-    """The Hurwitz class number H(n)."""
+    """The Hurwitz class number H(n).
+
+    Read from the shared table when it already covers n; otherwise counted
+    from the reduced forms of discriminant -n, leaving the table as it is.
+    """
     if n < 0 or n % 4 in (1, 2):
         return Fraction(0)
-    return table_at_least(n + 1).value(n)
+    table = _table
+    if n < table.limit:
+        return table.value(n)
+    return Fraction(_forms12(n), 12)
 
 
 def hurwitz_series(precision: int) -> QSeries:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hclassnum.cli import canonical_json, run
 
@@ -216,6 +220,32 @@ def test_ec_suite_clamps_pmax(capsys):
     err = capsys.readouterr().err
     assert "capped" in err
     assert len(jobs) == 1 and jobs[0][0] == "ec"
+
+
+def test_hurwitz_caps_n(capsys):
+    # counting the forms of -10^10 would take minutes; refuse instead
+    code, out, err = invoke(capsys, "hurwitz", "10000000000")
+    assert code == 2
+    assert out == "" and "capped" in err
+    # where H(n) = 0 by congruence or sign, any size is answered
+    for n in ("10000000001", "10000000002", "-10000000000"):
+        assert invoke(capsys, "hurwitz", n)[:2] == (0, "0\n"), n
+
+
+def test_cli_requests_leave_numpy_unimported():
+    code = (
+        "import sys\n"
+        "import hclassnum.cli as cli\n"
+        "assert cli.run(['hurwitz', '137524']) == 0\n"
+        "assert cli.run(['ec-traces', '--p', '97']) == 0\n"
+        "sys.exit('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "114"
 
 
 def test_usage_errors(capsys):

@@ -1,11 +1,17 @@
+import random
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
-from hclassnum.eccount import trace_distribution, verify_curve_counts
+from hclassnum.eccount import (
+    _correlation,
+    _slot_code,
+    trace_distribution,
+    verify_curve_counts,
+)
 from hclassnum.hurwitz import hurwitz, moment_sum
-from hclassnum.numtheory import primes_up_to
+from hclassnum.numtheory import is_prime, primes_up_to
 
 from oracles import trace_distribution_pairs
 
@@ -56,6 +62,46 @@ def test_j_sweep_matches_raw_pair_sweep():
     assert {p % 12 for p in primes} == {1, 5, 7, 11}
     for p in primes:
         assert trace_distribution(p) == trace_distribution_pairs(p), p
+
+
+def _legendre(v: int, p: int) -> int:
+    r = pow(v, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def _shifted_weights(rng: random.Random, p: int, total: int) -> list[int]:
+    """Signed weights whose shift by their minimum is >= 0 and sums to total."""
+    cuts = sorted(rng.randrange(total + 1) for _ in range(p - 2))
+    parts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+    parts.insert(rng.randrange(p), 0)
+    low = rng.randrange(total + 1)
+    return [v - low for v in parts]
+
+
+def test_packed_correlation_matches_double_loop():
+    rng = random.Random(20240)
+    # 2 * sum(w - min w) bounds every slot; these totals put it on each
+    # side of every change of slot width
+    edges = {127: "B", 128: "H", 2**15 - 1: "H", 2**15: "I",
+             2**31 - 1: "I", 2**31: "Q"}
+    for total, code in edges.items():
+        assert _slot_code(2 * total) == code, total
+    for p in (5, 7, 13, 43, 101):
+        chi = [_legendre(v, p) for v in range(p)]
+        e = [c + 1 for c in chi]
+        cases = [_shifted_weights(rng, p, total) for total in (0, *edges)]
+        cases += [[rng.randint(-3, 3) for _ in range(p)] for _ in range(3)]
+        for w in cases:
+            naive = [sum(w[u] * chi[(u + k) % p] for u in range(p)) for k in range(p)]
+            assert _correlation(w, e) == naive, (p, w)
+
+
+def test_mass_and_hasse_range_past_sixteen_bit_sums():
+    p = 20011  # the generic correlation's slots need 32 bits here
+    assert is_prime(p)
+    dist = trace_distribution(p)
+    assert dist.mass() == p
+    assert all(t * t <= 4 * p and w > 0 for t, w in dist.weights.items())
 
 
 def test_curve_count_identity_small():

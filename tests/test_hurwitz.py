@@ -5,6 +5,7 @@ import pytest
 
 from hclassnum.forms import theta_mM
 from hclassnum.hurwitz import (
+    _forms12,
     build_table,
     hurwitz,
     hurwitz_series,
@@ -51,6 +52,25 @@ def test_table_scaling_and_positivity():
         elif n > 0:
             assert v12 == 0
     assert (12 * hurwitz(10**4)).denominator == 1
+
+
+def test_form_count_matches_the_table():
+    table = build_table(2 * 10**4)
+    for n in range(1, table.limit):
+        if n % 4 in (0, 3):
+            assert _forms12(n) == table.values12[n], n
+
+
+def test_form_count_matches_naive_oracle_past_the_table():
+    for n in (10_003, 55_504, 65_160, 99_999, 137_524, 149_999):
+        assert Fraction(_forms12(n), 12) == hurwitz_naive(n), n
+
+
+def test_lookup_past_the_table_leaves_it_alone():
+    limit = table_at_least(1).limit
+    n = 4 * limit + 3
+    assert hurwitz(n) == Fraction(_forms12(n), 12)
+    assert table_at_least(1).limit == limit
 
 
 def test_table_bounds():
