@@ -1,10 +1,10 @@
 """Exact arithmetic for Hurwitz class numbers and their restricted sums.
 
 The package computes H(n) by reduced-form enumeration, manipulates
-q-expansions exactly (integer numerators over one denominator) with the U/V/sieve/twist/bracket
-operator calculus, verifies the weight-2 identities that evaluate the
-congruence-restricted sums H_{m,6}(p) and H_{m,8}(p) in closed form, and
-cross-checks everything against brute force and an independent
+q-expansions exactly (integer numerators over one denominator) with the
+U/V/sieve/twist operator calculus, verifies the weight-2 identities that
+evaluate the congruence-restricted sums H_{m,6}(p) and H_{m,8}(p) in closed
+form, and cross-checks everything against brute force and an independent
 elliptic-curve counting oracle.
 """
 from .eccount import TraceDistribution, trace_distribution, verify_curve_counts
@@ -18,7 +18,6 @@ from .hurwitz import (
     restricted_series,
 )
 from .numtheory import (
-    CHI_KRON8,
     CHI_MINUS3,
     CHI_MINUS4,
     DirichletCharacter,
@@ -26,14 +25,12 @@ from .numtheory import (
     is_prime,
     kronecker_symbol,
     represent,
-    sigma,
 )
-from .qseries import QSeries, half_binomial, rankin_cohen
+from .qseries import QSeries
 from .reporting import CheckReport
 from .sums import (
     LatticeSumSpec,
     g_series,
-    lambda_coeff,
     lambda_series,
     lambda_u4_twist,
     mu_coeff,
@@ -53,7 +50,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHI_KRON8",
     "CHI_MINUS3",
     "CHI_MINUS4",
     "CheckReport",
@@ -73,20 +69,16 @@ __all__ = [
     "g_series",
     "group_index",
     "h_formula",
-    "half_binomial",
     "hurwitz_series",
     "is_prime",
     "kronecker_symbol",
-    "lambda_coeff",
     "lambda_series",
     "lambda_u4_twist",
     "moment_sum",
     "mu_coeff",
     "psi_series",
-    "rankin_cohen",
     "represent",
     "restricted_series",
-    "sigma",
     "sturm_bound",
     "t_series",
     "theta0",

@@ -8,7 +8,8 @@ order so that parse + re-serialize is byte-identical.
 
 Exit codes: 0 on success (for verification commands: all verdicts true),
 1 when a verification found mismatches or a cross-check's prime range
-missed a case row, 2 on usage errors.
+missed a case row, 2 on usage errors, a size argument above its cap among
+them.
 """
 from __future__ import annotations
 
@@ -36,6 +37,25 @@ _HURWITZ_MAX_N = 2 * 10**8
 # smallest --pmax that leaves a prime to check: the classical sums start at
 # p = 2, the curve oracle at p = 5
 _VERIFY_MIN_PMAX = {"classical": 2, "all": 2, "ec": 5}
+# Above the caps below a size argument is refused with exit 2.  Times are
+# wall clock for one request at the cap, in a fresh process on the same host
+# as above; none needs more than 110 MB resident.
+#
+# largest H-table limit: hurwitz-table --limit, and 4*pmax + 1 for
+# cross-check and the classical suite.  cross-check --modulus 8 --pmax 10^5
+# takes 6.2-6.6 s, hurwitz-table --limit 400001 3.2-5.5 s; the table build
+# alone takes 3.1 s at 4*10^5 and 18.5 s at 8*10^5
+_TABLE_MAX = 400_001
+_TABLE_MAX_PMAX = (_TABLE_MAX - 1) // 4
+# largest series precision: qexp --terms, lattice-sum --terms, and the
+# product (H * theta) | U_4 of the identity suites, which has
+# 4*overshoot*bound + 1 terms.  At 10^5 terms the slowest form (psi3)
+# takes 1.8 s and verify --suite mod6 --overshoot 260 3.6 s; both grow
+# like terms^1.5 (4.3 s and 12 s at twice the precision)
+_SERIES_MAX = 100_000
+# largest coefficient range of the lemma suite (verify --pmax with --suite
+# lemmas or all): its mu scans take 4.3 s at 4000, 1.8 s at 2000
+_LEMMA_MAX_N = 4_000
 
 
 class UsageError(Exception):
@@ -179,16 +199,24 @@ def _cmd_hurwitz_table(config: CliConfig) -> int:
     limit = config.params["limit"]
     if limit < 1:
         raise UsageError("--limit must be >= 1")
+    if limit > _TABLE_MAX:
+        raise UsageError(f"--limit is capped at {_TABLE_MAX}")
     table = table_at_least(limit)
     values = [Fraction(table.values12[n], 12) for n in range(limit)]
     _emit(config, [str(v) for v in values], [], _series_lines(values))
     return 0
 
 
-def _cmd_qexp(config: CliConfig) -> int:
-    terms = config.params["terms"]
+def _check_terms(terms: int) -> None:
     if terms < 1:
         raise UsageError("--terms must be >= 1")
+    if terms > _SERIES_MAX:
+        raise UsageError(f"--terms is capped at {_SERIES_MAX}")
+
+
+def _cmd_qexp(config: CliConfig) -> int:
+    terms = config.params["terms"]
+    _check_terms(terms)
     series = _parse_form(config.params["form"], terms)
     _emit(config, series.to_strings(), [], _series_lines(series.coeffs))
     return 0
@@ -196,8 +224,7 @@ def _cmd_qexp(config: CliConfig) -> int:
 
 def _cmd_lattice_sum(config: CliConfig) -> int:
     params = config.params
-    if params["terms"] < 1:
-        raise UsageError("--terms must be >= 1")
+    _check_terms(params["terms"])
     if params["variant"] == "mu":
         if params["a"] is None or params["b"] is None:
             raise UsageError("the mu variant needs --a and --b")
@@ -250,6 +277,8 @@ def _cmd_cross_check(config: CliConfig) -> int:
     p_min = formulas.FIRST_PRIME[params["modulus"]]
     if params["pmax"] < p_min:
         raise UsageError(f"--pmax must be >= {p_min} for modulus {params['modulus']}")
+    if params["pmax"] > _TABLE_MAX_PMAX:
+        raise UsageError(f"--pmax is capped at {_TABLE_MAX_PMAX}")
     report = formulas.cross_check(params["modulus"], params["pmax"]).to_dict()
     ok = report["verdict"] and report["details"]["branch_coverage_complete"]
     lines = [_report_text(report),
@@ -279,6 +308,24 @@ def _suite_jobs(suite: str, pmax: int, overshoot: int):
     return jobs
 
 
+def _check_verify_caps(suite: str, pmax: int, overshoot: int) -> None:
+    """Refuse a --pmax or --overshoot past the cap of a resource the suite uses."""
+    pmax_caps = []
+    if suite in ("lemmas", "all"):
+        pmax_caps.append(_LEMMA_MAX_N)
+    if suite in ("classical", "all"):
+        pmax_caps.append(_TABLE_MAX_PMAX)
+    if pmax_caps and pmax > min(pmax_caps):
+        raise UsageError(f"--pmax is capped at {min(pmax_caps)} for --suite {suite}")
+    specs = ((verify.MOD6_IDENTITIES if suite in ("mod6", "all") else ())
+             + (verify.MOD8_IDENTITIES if suite in ("mod8", "all") else ()))
+    if specs:
+        bound = max(verify.sturm_bound(2, spec.group) for spec in specs)
+        cap = (_SERIES_MAX - 1) // (4 * bound)
+        if overshoot > cap:
+            raise UsageError(f"--overshoot is capped at {cap} for --suite {suite}")
+
+
 def _cmd_verify(config: CliConfig) -> int:
     params = config.params
     need = _VERIFY_MIN_PMAX.get(params["suite"], 1)
@@ -286,6 +333,7 @@ def _cmd_verify(config: CliConfig) -> int:
         raise UsageError(f"--pmax must be >= {need} for --suite {params['suite']}")
     if params["overshoot"] < 1:
         raise UsageError("--overshoot must be >= 1")
+    _check_verify_caps(params["suite"], params["pmax"], params["overshoot"])
     jobs = _suite_jobs(params["suite"], params["pmax"], params["overshoot"])
     results = [thunk() for _, thunk in jobs]
     reports = [r for chunk in results for r in chunk]

@@ -18,7 +18,6 @@ before being returned, so a construction bug cannot slip through quietly.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from .numtheory import DirichletCharacter
@@ -45,7 +44,7 @@ def theta_mM(m: int, M: int, precision: int) -> QSeries:
     for n in range(-nmax, nmax + 1):
         if (n - m) % M == 0:
             coeffs[n * n] += 1
-    return QSeries._from_numerators(coeffs, 1, weight_hint=Fraction(1, 2))
+    return QSeries._from_numerators(coeffs)
 
 
 def theta0(precision: int) -> QSeries:
@@ -60,7 +59,7 @@ def theta_weighted(chi: DirichletCharacter, precision: int) -> QSeries:
     num2 = [0] * precision  # accumulate twice the coefficients to stay integral
     for x in range(-isqrt(precision - 1), isqrt(precision - 1) + 1):
         num2[x * x] += int(chi(x)) * x
-    return QSeries._from_numerators(num2, 2, weight_hint=Fraction(3, 2))
+    return QSeries._from_numerators(num2, 2)
 
 
 def psi_series(k: int, chi: DirichletCharacter, precision: int) -> QSeries:
@@ -87,7 +86,7 @@ def psi_series(k: int, chi: DirichletCharacter, precision: int) -> QSeries:
         ymax = isqrt((precision - 1 - xx) // k)
         for y in range(-ymax, ymax + 1):
             num2[xx + k * y * y] += cx
-    enumerated = QSeries._from_numerators(num2, 2, weight_hint=2)
+    enumerated = QSeries._from_numerators(num2, 2)
     product = theta_weighted(chi, precision) * theta0(precision).v_operator(k)
     if enumerated != product:
         raise RuntimeError("psi_series self-check failed: enumeration != product")
@@ -106,7 +105,7 @@ def d_series(precision: int) -> QSeries:
     """Divisor-sum series sum_{n>=1} sigma(n) q^n."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    return QSeries._from_numerators(_sigma_table(precision), 1, weight_hint=2)
+    return QSeries._from_numerators(_sigma_table(precision))
 
 
 def e2_series(precision: int) -> QSeries:
@@ -115,4 +114,4 @@ def e2_series(precision: int) -> QSeries:
         raise ValueError("precision must be >= 1")
     coeffs = [-24 * s for s in _sigma_table(precision)]
     coeffs[0] = 1
-    return QSeries._from_numerators(coeffs, 1, weight_hint=2)
+    return QSeries._from_numerators(coeffs)

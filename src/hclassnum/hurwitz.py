@@ -142,9 +142,7 @@ def hurwitz(n: int) -> Fraction:
 def hurwitz_series(precision: int) -> QSeries:
     """Generating series sum H(n) q^n to the requested precision."""
     table = table_at_least(precision)
-    return QSeries._from_numerators(
-        table.values12[:precision], 12, weight_hint=Fraction(3, 2)
-    )
+    return QSeries._from_numerators(table.values12[:precision], 12)
 
 
 def moment_sum(kappa: int, m: int, M: int, n: int) -> Fraction:
@@ -196,6 +194,4 @@ def restricted_series(m: int, M: int, precision: int) -> QSeries:
     if precision < 1:
         raise ValueError("precision must be >= 1")
     table_at_least(4 * (precision - 1) + 1)  # one build instead of many
-    return QSeries(
-        (moment_sum(0, m, M, n) for n in range(precision)), weight_hint=2
-    )
+    return QSeries(moment_sum(0, m, M, n) for n in range(precision))

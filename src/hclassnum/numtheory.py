@@ -1,6 +1,6 @@
 """Elementary number theory shared by the rest of the package.
 
-Primality, divisor sums, the extended Kronecker symbol, real Dirichlet
+Primality, divisors, the extended Kronecker symbol, real Dirichlet
 characters, and representations of primes by the forms x^2 + n*y^2
 (Cornacchia's algorithm over a Tonelli-Shanks square root).
 Everything is exact integer or rational arithmetic; no floats anywhere.
@@ -17,12 +17,10 @@ __all__ = [
     "divisors",
     "prime_factors",
     "euler_phi",
-    "sigma",
     "kronecker_symbol",
     "DirichletCharacter",
     "CHI_MINUS3",
     "CHI_MINUS4",
-    "CHI_KRON8",
     "PrimeRepresentation",
     "represent",
 ]
@@ -112,13 +110,6 @@ def euler_phi(n: int) -> int:
     for p in prime_factors(n):
         phi = phi // p * (p - 1)
     return phi
-
-
-def sigma(n: int) -> int:
-    """Sum of the positive divisors of n >= 1."""
-    if n < 1:
-        raise ValueError("sigma requires n >= 1")
-    return sum(divisors(n))
 
 
 def kronecker_symbol(a: int, b: int) -> int:
@@ -226,8 +217,6 @@ class DirichletCharacter:
 CHI_MINUS3 = DirichletCharacter.from_kronecker(-3)
 #: non-principal character mod 4 (odd)
 CHI_MINUS4 = DirichletCharacter.from_kronecker(-4)
-#: the character (2/.) mod 8 (even)
-CHI_KRON8 = DirichletCharacter.from_kronecker(8)
 
 
 @dataclass(frozen=True)

@@ -19,21 +19,19 @@ Operators:
   * u_operator(m): b(n) = a(m*n), the index-extraction operator U_m;
   * v_operator(m): dilation q -> q^m, the section of U_m;
   * sieve(M, r): keep exactly the coefficients with n = r (mod M);
-  * twist(chi): b(n) = chi(n) * a(n) for a Dirichlet character chi;
-  * q_derive(j): b(n) = n^j * a(n), the normalized derivative (q d/dq)^j;
-  * rankin_cohen: the bilinear bracket built from normalized derivatives.
+  * twist(chi): b(n) = chi(n) * a(n) for a Dirichlet character chi.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .numtheory import DirichletCharacter
 
-__all__ = ["QSeries", "Rational", "half_binomial", "rankin_cohen"]
+__all__ = ["QSeries", "Rational"]
 
 Rational = Union[int, Fraction]
 
@@ -49,13 +47,12 @@ class QSeries:
 
     Stored as integer numerators over one positive denominator in lowest
     terms; a(n) = numerators[n] / den.  Instances are immutable; all
-    operations allocate fresh series.  The optional weight_hint is metadata
-    only (picked up by rankin_cohen when weights are not passed explicitly).
+    operations allocate fresh series.
     """
 
-    __slots__ = ("_nums", "_den", "weight_hint")
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs: Iterable[Rational], weight_hint: Rational | None = None):
+    def __init__(self, coeffs: Iterable[Rational]):
         cs = [_as_fraction(c) for c in coeffs]
         if not cs:
             raise ValueError("a series needs at least one known coefficient")
@@ -64,12 +61,9 @@ class QSeries:
         den = lcm(*(c.denominator for c in cs))
         self._nums = tuple(c.numerator * (den // c.denominator) for c in cs)
         self._den = den
-        self.weight_hint = None if weight_hint is None else _as_fraction(weight_hint)
 
     @classmethod
-    def _from_numerators(
-        cls, nums: Sequence[int], den: int = 1, weight_hint: Rational | None = None
-    ) -> "QSeries":
+    def _from_numerators(cls, nums: Sequence[int], den: int = 1) -> "QSeries":
         """The series nums[n] / den, brought to lowest terms; den must be > 0."""
         if not nums:
             raise ValueError("a series needs at least one known coefficient")
@@ -80,14 +74,13 @@ class QSeries:
         self = cls.__new__(cls)
         self._nums = tuple(nums)
         self._den = den
-        self.weight_hint = None if weight_hint is None else _as_fraction(weight_hint)
         return self
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, precision: int, weight_hint: Rational | None = None) -> "QSeries":
-        return cls._from_numerators([0] * precision, 1, weight_hint)
+    def zero(cls, precision: int) -> "QSeries":
+        return cls._from_numerators([0] * precision)
 
     @classmethod
     def monomial(cls, exponent: int, precision: int, coeff: Rational = 1) -> "QSeries":
@@ -144,9 +137,7 @@ class QSeries:
         """Restrict to the first `precision` coefficients (never extend)."""
         if precision < 1 or precision > len(self._nums):
             raise ValueError("can only truncate within the known range")
-        return QSeries._from_numerators(
-            self._nums[:precision], self._den, self.weight_hint
-        )
+        return QSeries._from_numerators(self._nums[:precision], self._den)
 
     # -- linear structure -------------------------------------------------------
 
@@ -160,8 +151,7 @@ class QSeries:
             a = map(mul, repeat(den // self._den), a)
         if den != other._den:
             b = map(mul, repeat(den // other._den), b)
-        hint = self.weight_hint if self.weight_hint == other.weight_hint else None
-        return QSeries._from_numerators(list(map(add, a, b)), den, hint)
+        return QSeries._from_numerators(list(map(add, a, b)), den)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -169,9 +159,7 @@ class QSeries:
         return self + (-other)
 
     def __neg__(self) -> "QSeries":
-        return QSeries._from_numerators(
-            [-c for c in self._nums], self._den, self.weight_hint
-        )
+        return QSeries._from_numerators([-c for c in self._nums], self._den)
 
     def __mul__(self, other: Union["QSeries", Rational]) -> "QSeries":
         if isinstance(other, QSeries):
@@ -186,7 +174,6 @@ class QSeries:
         return QSeries._from_numerators(
             [c.numerator * a for a in self._nums],
             c.denominator * self._den,
-            self.weight_hint,
         )
 
     def _cauchy(self, other: "QSeries") -> "QSeries":
@@ -200,10 +187,7 @@ class QSeries:
         for i, ci in enumerate(a):
             if ci:
                 out[i:] = map(add, out[i:], map(mul, repeat(ci), b))
-        hint = None
-        if self.weight_hint is not None and other.weight_hint is not None:
-            hint = self.weight_hint + other.weight_hint
-        return QSeries._from_numerators(out, self._den * other._den, hint)
+        return QSeries._from_numerators(out, self._den * other._den)
 
     # -- the operator calculus ---------------------------------------------------
 
@@ -211,7 +195,7 @@ class QSeries:
         """Index extraction: b(n) = a(m*n).  Precision ceil(P/m)."""
         if m < 1:
             raise ValueError("U-operator index must be >= 1")
-        return QSeries._from_numerators(self._nums[::m], self._den, self.weight_hint)
+        return QSeries._from_numerators(self._nums[::m], self._den)
 
     def v_operator(self, m: int) -> "QSeries":
         """Dilation q -> q^m: b(m*n) = a(n), 0 between.  Precision m*(P-1)+1."""
@@ -219,7 +203,7 @@ class QSeries:
             raise ValueError("V-operator index must be >= 1")
         out = [0] * (m * (len(self._nums) - 1) + 1)
         out[::m] = self._nums
-        return QSeries._from_numerators(out, self._den, self.weight_hint)
+        return QSeries._from_numerators(out, self._den)
 
     def sieve(self, modulus: int, residue: int) -> "QSeries":
         """Keep exactly the coefficients with n = residue (mod modulus)."""
@@ -228,7 +212,7 @@ class QSeries:
         r = residue % modulus
         out = [0] * len(self._nums)
         out[r::modulus] = self._nums[r::modulus]
-        return QSeries._from_numerators(out, self._den, self.weight_hint)
+        return QSeries._from_numerators(out, self._den)
 
     def twist(self, chi: DirichletCharacter) -> "QSeries":
         """Coefficientwise twist: b(n) = chi(n) * a(n)."""
@@ -239,72 +223,10 @@ class QSeries:
                 out[r::period] = self._nums[r::period]
             elif v == -1:
                 out[r::period] = [-c for c in self._nums[r::period]]
-        return QSeries._from_numerators(out, self._den, self.weight_hint)
-
-    def q_derive(self, order: int = 1) -> "QSeries":
-        """Normalized derivative (q d/dq)^order: b(n) = n^order * a(n)."""
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        hint = None if self.weight_hint is None else self.weight_hint + 2 * order
-        return QSeries._from_numerators(
-            [c * n**order for n, c in enumerate(self._nums)], self._den, hint
-        )
+        return QSeries._from_numerators(out, self._den)
 
     # -- serialization -------------------------------------------------------------
 
     def to_strings(self) -> list[str]:
         """Canonical rational strings: "p/q", or just "p" for integers."""
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "QSeries":
-        return cls(Fraction(s) for s in items)
-
-
-def half_binomial(alpha: Rational, k: int) -> Fraction:
-    """Binomial coefficient with (half-)integral upper entry, exactly.
-
-    alpha * (alpha-1) * ... * (alpha-k+1) / k!, which agrees with the
-    Gamma-quotient definition for every rational alpha and integer k >= 0.
-    """
-    if k < 0:
-        raise ValueError("lower entry must be nonnegative")
-    num = Fraction(1)
-    alpha = _as_fraction(alpha)
-    for i in range(k):
-        num *= alpha - i
-    return num / factorial(k)
-
-
-def rankin_cohen(
-    f1: QSeries,
-    k1: Rational | None,
-    f2: QSeries,
-    k2: Rational | None,
-    k: int,
-) -> QSeries:
-    """k-th Rankin-Cohen bracket of series of weights k1 and k2.
-
-    [f1, f2]_k = sum_{j=0}^{k} (-1)^j C(k1+k-1, k-j) C(k2+k-1, j)
-                 * (q d/dq)^j f1 * (q d/dq)^{k-j} f2,
-    truncated to the joint precision.  The normalization that removes the
-    2*pi*i powers from the classical definition is already folded into the
-    q d/dq derivatives, so everything stays rational.  For k = 0 this is
-    the plain product.  Weights default to the operands' weight hints.
-    """
-    if k < 0:
-        raise ValueError("bracket order must be nonnegative")
-    w1 = f1.weight_hint if k1 is None else _as_fraction(k1)
-    w2 = f2.weight_hint if k2 is None else _as_fraction(k2)
-    if w1 is None or w2 is None:
-        raise ValueError("weights are required when no weight hint is present")
-    p = min(f1.precision, f2.precision)
-    total = QSeries.zero(p)
-    for j in range(k + 1):
-        c = half_binomial(w1 + k - 1, k - j) * half_binomial(w2 + k - 1, j)
-        if j % 2:
-            c = -c
-        if not c:
-            continue
-        total = total + c * (f1.q_derive(j) * f2.q_derive(k - j))
-    return QSeries._from_numerators(total._nums, total._den, w1 + w2 + 2 * k)

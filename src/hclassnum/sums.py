@@ -49,7 +49,6 @@ __all__ = [
     "LatticeSumSpec",
     "mu_coeff",
     "mu_closed",
-    "lambda_coeff",
     "lambda_series",
     "mu_series",
     "g_series",
@@ -138,26 +137,6 @@ def mu_closed(ell: int, a: int, b: int, M: int, n: int) -> int:
     )
 
 
-def lambda_coeff(ell: int, m: int, M: int, n: int) -> Fraction:
-    """lambda_{ell,m,M}(n): both sign branches, s = 0 terms at weight 1/2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = Fraction(0)
-    for d in range(1, isqrt(n) + 1):  # d = t - s <= sqrt(n)
-        if n % d:
-            continue
-        e = n // d
-        if (e - d) % 2:
-            continue
-        t = (e + d) // 2
-        s = (e - d) // 2
-        w = _branch_weight(t, m, M)
-        if w:
-            term = Fraction(d**ell * w)
-            total += term / 2 if s == 0 else term
-    return total
-
-
 def lambda_series(ell: int, m: int, M: int, precision: int) -> QSeries:
     """sum_n lambda_{ell,m,M}(n) q^n, by sweeping factorizations n = d*e."""
     if precision < 1:
@@ -244,11 +223,17 @@ def lambda_u4_twist(ell: int, m: int, M: int, precision: int) -> QSeries:
     m1 = (m % M) // 2
     total = QSeries.zero(precision)
     two_l = Fraction(2) ** ell
+    # G_{ell,r,half} depends only on the class {r, -r} mod half, and
+    # different b1 often land in the same class
+    g_by_class: dict[int, QSeries] = {}
     for b1 in range(half):
-        if gcd(m1 * m1 - b1 * b1, half) != 1:
+        residue = m1 * m1 - b1 * b1
+        if gcd(residue, half) != 1:
             continue
-        part = g_series(ell, m1 - b1, half, precision)
-        part = part.sieve(2**f * m1_part, m1 * m1 - b1 * b1).sieve(2, 1)
+        r = min((m1 - b1) % half, (b1 - m1) % half)
+        if r not in g_by_class:
+            g_by_class[r] = g_series(ell, r, half, precision)
+        part = g_by_class[r].sieve(2**f * m1_part, residue).sieve(2, 1)
         total = total + two_l * part
     tpart = t_series(ell, m1, half, precision).twist(
         DirichletCharacter.principal(M)

@@ -2,10 +2,12 @@
 
 These deliberately avoid the production code paths: class numbers come from
 a box scan plus canonical reduction instead of direct reduced enumeration,
-brackets and products from literal double sums over Fractions instead of
-the integer operator pipeline, curve counts from every raw Weierstrass pair
-instead of one curve per j-invariant, primality from trial division, and
-representations p = x^2 + n*y^2 from a scan over y instead of Cornacchia.
+products from literal double sums over Fractions instead of the integer
+operator pipeline, lambda coefficients one n at a time from its divisors
+instead of one sweep over all factorizations, curve counts from every raw
+Weierstrass pair instead of one curve per j-invariant, primality from trial
+division, and representations p = x^2 + n*y^2 from a scan over y instead of
+Cornacchia.
 """
 from __future__ import annotations
 
@@ -79,35 +81,6 @@ def hurwitz_naive(n: int) -> Fraction:
     return total
 
 
-def binom_frac(alpha: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= alpha - i
-    for i in range(2, k + 1):
-        out /= i
-    return out
-
-
-def bracket_naive(a: list[Fraction], k1: Fraction, b: list[Fraction],
-                  k2: Fraction, k: int) -> list[Fraction]:
-    """Rankin-Cohen bracket straight from its double-sum definition."""
-    p = min(len(a), len(b))
-    out = [Fraction(0)] * p
-    for j in range(k + 1):
-        c = binom_frac(Fraction(k1) + k - 1, k - j) * binom_frac(
-            Fraction(k2) + k - 1, j
-        )
-        if j % 2:
-            c = -c
-        for i in range(p):
-            if not a[i]:
-                continue
-            for l in range(p - i):
-                if b[l]:
-                    out[i + l] += c * a[i] * b[l] * i**j * l ** (k - j)
-    return out
-
-
 def cauchy_naive(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Truncated product of two coefficient lists, one Fraction at a time."""
     p = min(len(a), len(b))
@@ -145,6 +118,30 @@ def lambda_naive(ell: int, m: int, M: int, n: int) -> Fraction:
                 for sign in (1, -1):
                     if (t - sign * m) % M == 0:
                         total += w * (t - s) ** ell
+    return total
+
+
+def lambda_coeff(ell: int, m: int, M: int, n: int) -> Fraction:
+    """lambda_{ell,m,M}(n) by a scan over the divisors d = t - s <= sqrt(n).
+
+    Both sign branches t = +-m (mod M) count, and s = 0 terms carry weight
+    1/2; the reference for sums.lambda_series.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    total = Fraction(0)
+    for d in range(1, isqrt(n) + 1):
+        if n % d:
+            continue
+        e = n // d
+        if (e - d) % 2:
+            continue
+        t = (e + d) // 2
+        s = (e - d) // 2
+        w = ((t - m) % M == 0) + ((t + m) % M == 0)
+        if w:
+            term = Fraction(d**ell * w)
+            total += term / 2 if s == 0 else term
     return total
 
 

@@ -5,6 +5,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from hclassnum import cli
 from hclassnum.cli import canonical_json, run
 
 
@@ -230,6 +233,36 @@ def test_hurwitz_caps_n(capsys):
     # where H(n) = 0 by congruence or sign, any size is answered
     for n in ("10000000001", "10000000002", "-10000000000"):
         assert invoke(capsys, "hurwitz", n)[:2] == (0, "0\n"), n
+
+
+# one past each cap; the overshoot caps are where the identity product
+# 4*overshoot*bound + 1 would pass 10^5 terms (bound 96 mod 6, 256 mod 8)
+@pytest.mark.parametrize("argv", [
+    ["hurwitz-table", "--limit", str(cli._TABLE_MAX + 1)],
+    ["qexp", "--form", "psi3", "--terms", str(cli._SERIES_MAX + 1)],
+    ["lattice-sum", "--variant", "G", "--ell", "1", "--m", "1", "--modulus", "6",
+     "--terms", str(cli._SERIES_MAX + 1)],
+    ["cross-check", "--modulus", "6", "--pmax", str(cli._TABLE_MAX_PMAX + 1)],
+    ["verify", "--suite", "classical", "--pmax", str(cli._TABLE_MAX_PMAX + 1)],
+    ["verify", "--suite", "lemmas", "--pmax", str(cli._LEMMA_MAX_N + 1)],
+    ["verify", "--suite", "all", "--pmax", str(cli._LEMMA_MAX_N + 1)],
+    ["verify", "--suite", "mod6", "--overshoot", "261"],
+    ["verify", "--suite", "mod8", "--overshoot", "98"],
+    ["verify", "--suite", "all", "--overshoot", "98"],
+], ids=" ".join)
+def test_size_caps_refuse(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == "" and "capped" in err
+
+
+def test_overshoot_caps_admit_their_own_value():
+    # checked without running: the suites at the cap take seconds
+    for suite, cap in (("mod6", 260), ("mod8", 97), ("all", 97)):
+        cli._check_verify_caps(suite, 500, cap)
+        with pytest.raises(cli.UsageError):
+            cli._check_verify_caps(suite, 500, cap + 1)
+    cli._check_verify_caps("all", cli._LEMMA_MAX_N, 4)
 
 
 def test_cli_requests_leave_numpy_unimported():

@@ -15,8 +15,8 @@ from hclassnum.numtheory import (
     CHI_MINUS3,
     CHI_MINUS4,
     DirichletCharacter,
+    divisors,
     is_prime,
-    sigma,
 )
 from hclassnum.qseries import QSeries
 
@@ -89,7 +89,7 @@ def test_d_and_e2():
     d = d_series(300)
     assert d[0] == 0 and d[1] == 1 and d[6] == 12
     for n in range(1, 300):
-        assert d[n] == sigma(n)
+        assert d[n] == sum(divisors(n))
     e2 = e2_series(300)
     assert e2[0] == 1
     # D = 1/24 - E2/24

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hclassnum.numtheory import (
-    CHI_KRON8,
     CHI_MINUS3,
     CHI_MINUS4,
     DirichletCharacter,
@@ -16,9 +15,10 @@ from hclassnum.numtheory import (
     prime_factors,
     primes_up_to,
     represent,
-    sigma,
 )
 from oracles import represent_scan, trial_division_prime
+
+CHI_KRON8 = DirichletCharacter.from_kronecker(8)
 
 # residue tables for the two odd quadratic characters
 _CHI3_TABLE = {0: 0, 1: 1, 2: -1}
@@ -118,15 +118,6 @@ def test_kronecker5_character_vanishes_off_units_of_its_modulus():
 def test_kronecker_kind_needs_good_discriminant():
     with pytest.raises(ValueError):
         DirichletCharacter.from_kronecker(3)
-
-
-def test_sigma():
-    assert sigma(1) == 1
-    assert sigma(6) == 12
-    for p in (2, 3, 5, 7, 11, 101):
-        assert sigma(p) == p + 1
-    with pytest.raises(ValueError):
-        sigma(0)
 
 
 def test_divisors_and_factors():

@@ -10,7 +10,6 @@ from hclassnum.sums import (
     LatticeSumSpec,
     build_series,
     g_series,
-    lambda_coeff,
     lambda_series,
     lambda_u4_twist,
     mu_closed,
@@ -18,7 +17,7 @@ from hclassnum.sums import (
     mu_series,
     t_series,
 )
-from oracles import lambda_naive
+from oracles import lambda_coeff, lambda_naive
 
 
 def test_mu_pinned_values():
