@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .hurwitz import hurwitz, table_at_least
+from .hurwitz import table_at_least
 from .numtheory import is_prime, primes_up_to
 from .reporting import CheckReport
 
@@ -149,24 +149,27 @@ def verify_curve_counts(p_max: int) -> CheckReport:
     the Hasse range with p not dividing t (for these p that means t != 0),
     and the total mass sum_t N_A(p; t) is compared against p.
     """
-    table_at_least(4 * p_max + 1)
+    values12 = table_at_least(4 * p_max + 1).values12
     mismatches: list[tuple] = []
     checked = 0
     for p in primes_up_to(p_max):
         if p <= 3:
             continue
         dist = trace_distribution(p)
-        if dist.mass() != p:
+        # N_A(p; t) = counts[t] / (p - 1), so the checks run in integers:
+        # 2 * N_A(p; t) = H(4p - t^2) times 12 (p - 1)
+        counts = {t: w.numerator * ((p - 1) // w.denominator)
+                  for t, w in dist.weights.items()}
+        if sum(counts.values()) != p * (p - 1):
             mismatches.append(("mass", p, dist.mass(), p))
         tmax = isqrt(4 * p)
         for t in range(-tmax, tmax + 1):
             if t % p == 0:
                 continue
             checked += 1
-            lhs = 2 * dist.weight(t)
-            rhs = hurwitz(4 * p - t * t)
-            if lhs != rhs:
-                mismatches.append(("trace", p, t, lhs, rhs))
+            h12 = values12[4 * p - t * t]
+            if 24 * counts.get(t, 0) != h12 * (p - 1):
+                mismatches.append(("trace", p, t, 2 * dist.weight(t), Fraction(h12, 12)))
     return CheckReport(
         name="curve counts vs class numbers",
         checked=checked,

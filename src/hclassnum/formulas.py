@@ -12,19 +12,22 @@ folds it through H_{m,M} = H_{-m,M}, and evaluates the one row that serves
 Values are exact rationals; thirds and halves are legitimate because class
 numbers carry them.  cross_check checks every (prime, residue) pair against
 the brute-force t-scan and reports which table rows fired.  It works one
-prime at a time: the primes come from the sieve, so primality is not tested
-again; all M residues go through the evaluator behind h_formula with one
-cache, so represent runs once per form; and one residue_sums gather gives
-all M brute-force sums.  At the first prime where each row fires, that cell
-is also computed by the scalar paths h_formula and moment_sum, which must
-agree with the batched ones.
+prime at a time and in integers: the primes come from the sieve, so
+primality is not tested again; all M residues go through the evaluator
+behind h_formula with one cache, so represent runs once per form; one
+gather gives all M brute-force sums as the integers 12*H_{m,M}(p); and a
+row's value is an integer numerator over its denominator c*d, so a cell
+holds when 12 * numerator = 12*H_{m,M}(p) * c*d.  Fractions are built only
+for a mismatch and for the first prime where each row fires, where that
+cell is also computed by the scalar paths h_formula and moment_sum, which
+must agree with the batched ones.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hurwitz import moment_sum, residue_sums, table_at_least
+from .hurwitz import _residue_sums12, moment_sum, table_at_least
 from .numtheory import (
     CHI_MINUS3,
     CHI_MINUS4,
@@ -134,7 +137,20 @@ def _evaluate(M: int, p: int, m: int,
               reps: dict[int, tuple[PrimeRepresentation, int]]) -> FormulaResult:
     """h_formula for a p already known to be a prime it accepts.
 
-    reps belongs to this one p and maps each form n to represent(p, n) and
+    reps is the representation cache of _row_value.
+    """
+    row, rep, num, den = _row_value(M, p, m, reps)
+    return FormulaResult(p=p, m=m, M=M, value=Fraction(num, den),
+                         branch=row.label, representation=rep)
+
+
+def _row_value(M: int, p: int, m: int, reps: dict[int, tuple[PrimeRepresentation, int]]
+               ) -> tuple[CaseRow, PrimeRepresentation | None, int, int]:
+    """The row serving (m, p), its representation, and H_{m,M}(p) as an
+    integer numerator over the row's denominator c*d.
+
+    p must already be known to be a prime that h_formula accepts.  reps
+    belongs to this one p and maps each form n to represent(p, n) and
     chi(x)*x; it is filled on first use, so residues that read the same
     form share one representation.
     """
@@ -149,9 +165,7 @@ def _evaluate(M: int, p: int, m: int,
     # (a*p + b)/c + (k/d)*chi(x)*x over the common denominator c*d
     a, b, c = row.linear
     k, d = row.chi_coeff.numerator, row.chi_coeff.denominator
-    return FormulaResult(p=p, m=m, M=M,
-                         value=Fraction((a * p + b) * d + c * k * chi_x, c * d),
-                         branch=row.label, representation=rep)
+    return row, rep, (a * p + b) * d + c * k * chi_x, c * d
 
 
 def cross_check(M: int, p_max: int) -> CheckReport:
@@ -163,7 +177,7 @@ def cross_check(M: int, p_max: int) -> CheckReport:
     if M not in CASE_ROWS:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
     p_min = FIRST_PRIME[M]
-    table_at_least(4 * p_max + 1)
+    values12 = table_at_least(4 * p_max + 1).values12
     mismatches: list[tuple] = []
     branches: set[str] = set()
     checked = 0
@@ -171,17 +185,19 @@ def cross_check(M: int, p_max: int) -> CheckReport:
         if p < p_min:
             continue
         reps: dict[int, tuple[PrimeRepresentation, int]] = {}
-        for m, brute in enumerate(residue_sums(M, p)):
+        for m, brute12 in enumerate(_residue_sums12(M, p, values12)):
             checked += 1
-            result = _evaluate(M, p, m, reps)
-            if result.value != brute:
-                mismatches.append((p, m, result.value, brute, result.branch))
-            if result.branch not in branches:
-                branches.add(result.branch)
+            row, _, num, den = _row_value(M, p, m, reps)
+            if 12 * num != brute12 * den:
+                mismatches.append((p, m, Fraction(num, den), Fraction(brute12, 12),
+                                   row.label))
+            if row.label not in branches:
+                branches.add(row.label)
                 # the row's first cell, again by the scalar paths
+                result = _evaluate(M, p, m, reps)
                 scalar = h_formula(M, p, m)
                 scalar_brute = moment_sum(0, m, M, p)
-                if scalar != result or scalar_brute != brute:
+                if scalar != result or scalar_brute != Fraction(brute12, 12):
                     mismatches.append((p, m, scalar.value, scalar_brute, scalar.branch))
     expected = [row.label for row in CASE_ROWS[M]]
     return CheckReport(

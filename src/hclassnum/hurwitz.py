@@ -6,10 +6,17 @@ of x^2 + y^2 count 1/2, classes equivalent to a multiple of x^2 + xy + y^2
 count 1/3, every other class counts 1.  By convention H(0) = -1/12, and
 H(n) = 0 unless n = 0 or n = 0, 3 (mod 4).
 
-The table builder walks each reduced form (a, b, c), meaning
+The table builder counts each reduced form (a, b, c), meaning
 -a < b <= a <= c with b >= 0 when a = c, exactly once.  That enumeration
 hits imprimitive forms too, so no class-number formula fix-ups are needed,
-and 12*H(n) is an integer so the table stores the scaled values.  A single
+and 12*H(n) is an integer so the table stores the scaled values.  For fixed
+a and b the forms with c > a sit at n = 4ac - b^2, one tail of stride 4a
+starting at 4a(a + 1) - b^2.  Tails whose b^2 agree mod 4a share a column
+n = -b^2 (mod 4a); the builder merges them, so each column is walked once,
+in runs between consecutive tail starts, each run one slice of the table
+rebuilt with the weight of the tails begun so far.  At limit 2*10^5 that is
+5.7M element updates, all inside list comprehensions, against 8.0M
+single-element statements for one walk per tail.  A single
 H(n) that the shared table does not cover walks only the reduced forms of
 discriminant -n (Cohen, GTM 138, Algorithm 5.3.5): O(n) time, and the table
 is left as it is.
@@ -20,9 +27,10 @@ The restricted sums are
 
 with H_{m,M} = H_{0,m,M}.  moment_sum computes one of them by a direct
 t-scan over the table; residue_sums gives H_{m,M}(n) for every m at once
-from one gather of the values H(4n - t^2), which is what the sweeps over
-primes use; restricted_series packages them as a q-expansion, which doubles
-as the independent oracle for the operator-built series elsewhere.
+from one gather of the values H(4n - t^2), and the sweeps over primes read
+that gather as the integers 12*H_{m,M}(n); restricted_series packages them
+as a q-expansion, which doubles as the independent oracle for the
+operator-built series elsewhere.
 """
 from __future__ import annotations
 
@@ -67,9 +75,11 @@ def build_table(limit: int) -> HurwitzTable:
     amax = isqrt((limit - 1) // 3) if limit > 1 else 0
     for a in range(1, amax + 1):
         step = 4 * a
-        for b in range(a + 1):
-            bb = b * b
-            n = step * a - bb  # the c = a form
+        # column n mod 4a -> [(start, weight)] of its c > a tails; b runs
+        # down, so each column lists its starts in increasing order
+        columns: dict[int, list[tuple[int, int]]] = {}
+        for b in range(a, -1, -1):
+            n = step * a - b * b  # the c = a form
             if n < limit:
                 if b == a:
                     v[n] += 4  # a(x^2+xy+y^2), weight 1/3
@@ -79,9 +89,16 @@ def build_table(limit: int) -> HurwitzTable:
                     v[n] += 12
             # for c > a the forms (a, b, c) and (a, -b, c) are distinct
             # classes unless b = 0 or b = a
-            w = 12 if (b == 0 or b == a) else 24
-            for n in range(step * (a + 1) - bb, limit, step):
-                v[n] += w
+            if n + step < limit:
+                w = 12 if (b == 0 or b == a) else 24
+                columns.setdefault(n % step, []).append((n + step, w))
+        for tails in columns.values():
+            ends = [start for start, _ in tails[1:]]
+            ends.append(limit)
+            weight = 0
+            for (start, w), end in zip(tails, ends):
+                weight += w
+                v[start:end:step] = [x + weight for x in v[start:end:step]]
     return HurwitzTable(limit=limit, values12=tuple(v))
 
 
@@ -164,24 +181,33 @@ def moment_sum(kappa: int, m: int, M: int, n: int) -> Fraction:
     return Fraction(total, 12)
 
 
-def residue_sums(M: int, n: int) -> list[Fraction]:
-    """[H_{0,M}(n), H_{1,M}(n), ..., H_{M-1,M}(n)] from one gather.
+def _residue_sums12(M: int, n: int, values12) -> list[int]:
+    """[12*H_{m,M}(n) for m in range(M)], from one gather of values12.
 
     The values 12*H(4n - t^2) for 0 <= t <= sqrt(4n) are read once; class
     r of t >= 0 is one slice of them, and -t falls in class -r, so every
-    residue costs one slice sum.  Equal to moment_sum(0, m, M, n) for each m.
+    residue costs one slice sum.  values12 must cover 0..4n.
+    """
+    four_n = 4 * n
+    vals = [values12[four_n - t * t] for t in range(isqrt(four_n) + 1)]
+    half = [sum(vals[r::M]) for r in range(M)]
+    # t = 0 is its own negative, so class 0 must not count it twice
+    sums = [half[m] + half[-m % M] for m in range(M)]
+    sums[0] -= vals[0]
+    return sums
+
+
+def residue_sums(M: int, n: int) -> list[Fraction]:
+    """[H_{0,M}(n), H_{1,M}(n), ..., H_{M-1,M}(n)] from one gather.
+
+    Equal to moment_sum(0, m, M, n) for each m.
     """
     if M < 1:
         raise ValueError("modulus must be positive")
     if n < 0:
         raise ValueError("argument must be nonnegative")
-    four_n = 4 * n
-    v = table_at_least(four_n + 1).values12
-    vals = [v[four_n - t * t] for t in range(isqrt(four_n) + 1)]
-    half = [sum(vals[r::M]) for r in range(M)]
-    # t = 0 is its own negative, so class 0 must not count it twice
-    return [Fraction(half[m] + half[-m % M] - (vals[0] if m == 0 else 0), 12)
-            for m in range(M)]
+    values12 = table_at_least(4 * n + 1).values12
+    return [Fraction(s, 12) for s in _residue_sums12(M, n, values12)]
 
 
 def restricted_series(m: int, M: int, precision: int) -> QSeries:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 
 from .forms import d_series, psi_series, theta_mM
-from .hurwitz import hurwitz_series, residue_sums, restricted_series, table_at_least
+from .hurwitz import _residue_sums12, hurwitz_series, restricted_series, table_at_least
 from .numtheory import (
     CHI_MINUS3,
     CHI_MINUS4,
@@ -329,14 +329,15 @@ def verify_lemmas(n_max: int = 600) -> CheckReport:
     )
 
 
-def _h05_expected(p: int) -> Fraction:
-    """The 3-case evaluation of H_{0,5}(p) for primes p with 5 not dividing p."""
+def _h05_expected12(p: int) -> int:
+    """12 times the 3-case evaluation of H_{0,5}(p), for primes p with 5 not
+    dividing p: (p + 1)/2, (p + 1)/3 or (p - 3)/2 as p = 1, 2 or 3, 4 (mod 5)."""
     r = p % 5
     if r == 1:
-        return Fraction(p + 1, 2)
+        return 6 * (p + 1)
     if r in (2, 3):
-        return Fraction(p + 1, 3)
-    return Fraction(p - 3, 2)
+        return 4 * (p + 1)
+    return 6 * (p - 3)
 
 
 def verify_classical(p_max: int = 2000) -> CheckReport:
@@ -344,24 +345,23 @@ def verify_classical(p_max: int = 2000) -> CheckReport:
 
     The full class-number sum is checked for every prime p <= p_max; the
     modulus-5 evaluation for primes 7 <= p <= p_max (it has no case for
-    p = 5 itself).
+    p = 5 itself).  Both compare the integers 12*H.
     """
-    table_at_least(4 * p_max + 1)
+    values12 = table_at_least(4 * p_max + 1).values12
     mismatches: list[tuple] = []
     checked = 0
     for p in primes_up_to(p_max):
         # one gather: the five classes mod 5 together are the full sum
-        sums5 = residue_sums(5, p)
+        sums12 = _residue_sums12(5, p, values12)
         checked += 1
-        total = sum(sums5)
-        if total != 2 * p:
-            mismatches.append(("eichler", p, total, 2 * p))
+        total12 = sum(sums12)
+        if total12 != 24 * p:
+            mismatches.append(("eichler", p, Fraction(total12, 12), 2 * p))
         if p >= 7:
             checked += 1
-            got = sums5[0]
-            want = _h05_expected(p)
-            if got != want:
-                mismatches.append(("h05", p, got, want))
+            want12 = _h05_expected12(p)
+            if sums12[0] != want12:
+                mismatches.append(("h05", p, Fraction(sums12[0], 12), Fraction(want12, 12)))
     return CheckReport(
         name="classical sums",
         checked=checked,

@@ -2,12 +2,13 @@
 
 These deliberately avoid the production code paths: class numbers come from
 a box scan plus canonical reduction instead of direct reduced enumeration,
-products from literal double sums over Fractions instead of the integer
-operator pipeline, lambda coefficients one n at a time from its divisors
-instead of one sweep over all factorizations, curve counts from every raw
-Weierstrass pair instead of one curve per j-invariant, primality from trial
-division, and representations p = x^2 + n*y^2 from a scan over y instead of
-Cornacchia.
+the H-table from one strided walk per reduced-form tail instead of merged
+columns, products from literal double sums over Fractions instead of the
+integer operator pipeline, lambda coefficients one n at a time from its
+divisors instead of one sweep over all factorizations, curve counts from
+every raw Weierstrass pair instead of one curve per j-invariant, primality
+from trial division, and representations p = x^2 + n*y^2 from a scan over y
+instead of Cornacchia.
 """
 from __future__ import annotations
 
@@ -79,6 +80,34 @@ def hurwitz_naive(n: int) -> Fraction:
         else:
             total += 1
     return total
+
+
+def build_table_strides(limit: int) -> list[int]:
+    """12*H(n) for n < limit, one element update per reduced form.
+
+    Each (a, b) walks its own c > a tail n = 4ac - b^2 with stride 4a.
+    """
+    v = [0] * limit
+    v[0] = -1
+    amax = isqrt((limit - 1) // 3) if limit > 1 else 0
+    for a in range(1, amax + 1):
+        step = 4 * a
+        for b in range(a + 1):
+            bb = b * b
+            n = step * a - bb  # the c = a form
+            if n < limit:
+                if b == a:
+                    v[n] += 4  # a(x^2+xy+y^2), weight 1/3
+                elif b == 0:
+                    v[n] += 6  # a(x^2+y^2), weight 1/2
+                else:
+                    v[n] += 12
+            # for c > a the forms (a, b, c) and (a, -b, c) are distinct
+            # classes unless b = 0 or b = a
+            w = 12 if (b == 0 or b == a) else 24
+            for n in range(step * (a + 1) - bb, limit, step):
+                v[n] += w
+    return v
 
 
 def cauchy_naive(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

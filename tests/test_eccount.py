@@ -4,7 +4,9 @@ from math import isqrt
 
 import pytest
 
+from hclassnum import eccount
 from hclassnum.eccount import (
+    TraceDistribution,
     _correlation,
     _slot_code,
     trace_distribution,
@@ -116,6 +118,30 @@ def test_curve_count_identity_extended():
     report = verify_curve_counts(499)
     assert report.verdict, report.mismatches[:5]
     assert report.checked == 5180
+
+
+def test_curve_count_mismatches_carry_fractions(monkeypatch):
+    # the checks compare integers; a wrong weight is still reported as the
+    # rationals 2 * N_A(p; t) and H(4p - t^2), and a wrong mass as N_A's sum
+    def shifted(p):
+        dist = trace_distribution(p)
+        weights = dict(dist.weights)
+        weights[1] += Fraction(1, p - 1)
+        return TraceDistribution(p=p, weights=weights)
+
+    monkeypatch.setattr(eccount, "trace_distribution", shifted)
+    report = verify_curve_counts(13)
+    assert report.checked == sum(2 * isqrt(4 * p) for p in (5, 7, 11, 13))
+    assert [bad[:2] for bad in report.mismatches] == [
+        (kind, p) for p in (5, 7, 11, 13) for kind in ("mass", "trace")]
+    for bad in report.mismatches:
+        if bad[0] == "mass":
+            _, p, mass, want = bad
+            assert mass == p + Fraction(1, p - 1) and want == p
+        else:
+            _, p, t, lhs, rhs = bad
+            assert t == 1 and isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
+            assert lhs - rhs == Fraction(2, p - 1) and rhs == hurwitz(4 * p - 1)
 
 
 def test_restricted_closure_against_class_number_sums():

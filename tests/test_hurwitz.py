@@ -6,6 +6,7 @@ import pytest
 from hclassnum.forms import theta_mM
 from hclassnum.hurwitz import (
     _forms12,
+    _residue_sums12,
     build_table,
     hurwitz,
     hurwitz_series,
@@ -15,7 +16,7 @@ from hclassnum.hurwitz import (
     table_at_least,
 )
 from hclassnum.numtheory import primes_up_to
-from oracles import hurwitz_naive
+from oracles import build_table_strides, hurwitz_naive
 
 
 def test_pinned_values():
@@ -52,6 +53,12 @@ def test_table_scaling_and_positivity():
         elif n > 0:
             assert v12 == 0
     assert (12 * hurwitz(10**4)).denominator == 1
+
+
+def test_merged_columns_match_one_walk_per_tail():
+    # every small limit, then each residue of the limit mod 4 near 10^5
+    for limit in [*range(1, 401), *range(10**5, 10**5 + 4)]:
+        assert list(build_table(limit).values12) == build_table_strides(limit), limit
 
 
 def test_form_count_matches_the_table():
@@ -154,3 +161,12 @@ def test_residue_sums_match_moment_sum():
         residue_sums(0, 7)
     with pytest.raises(ValueError):
         residue_sums(6, -1)
+
+
+def test_integer_residue_sums_are_twelve_times_the_fractions():
+    values12 = table_at_least(4 * 5000 + 1).values12
+    for p in primes_up_to(5000):
+        for M in (1, 5, 6, 8):
+            sums12 = _residue_sums12(M, p, values12)
+            assert all(isinstance(s, int) for s in sums12)
+            assert sums12 == [12 * h for h in residue_sums(M, p)], (M, p)

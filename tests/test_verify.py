@@ -1,8 +1,13 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hclassnum import verify
+from hclassnum.formulas import cross_check
+from hclassnum.numtheory import primes_up_to
 from hclassnum.verify import (
     MOD6_IDENTITIES,
     MOD8_IDENTITIES,
@@ -122,6 +127,28 @@ def test_verify_classical_counts():
     report = verify_classical(2 * 10**4)
     assert report.checked == 4521
     assert report.verdict, report.mismatches[:5]
+
+
+def test_verify_classical_reports_a_wrong_h05_form(monkeypatch):
+    # the sweep compares integers 12*H; a mismatch still carries Fractions
+    expected12 = verify._h05_expected12
+    monkeypatch.setattr(verify, "_h05_expected12", lambda p: expected12(p) + 1)
+    report = verify_classical(200)
+    assert not report.verdict
+    assert len(report.mismatches) == sum(1 for p in primes_up_to(200) if p >= 7)
+    for kind, p, got, want in report.mismatches:
+        assert kind == "h05"
+        assert isinstance(got, Fraction) and isinstance(want, Fraction)
+        assert want == Fraction(expected12(p) + 1, 12) and want - got == Fraction(1, 12)
+    dumped = report.to_dict()["mismatches"][0]
+    assert dumped == ["h05", 7, str(report.mismatches[0][2]), str(report.mismatches[0][3])]
+
+
+def test_sweep_reports_match_the_pinned_json():
+    pinned = json.loads((Path(__file__).parent / "sweep_reports_2000.json").read_text())
+    assert cross_check(6, 2000).to_dict() == pinned["cross_check(6, 2000)"]
+    assert cross_check(8, 2000).to_dict() == pinned["cross_check(8, 2000)"]
+    assert verify_classical(2000).to_dict() == pinned["verify_classical(2000)"]
 
 
 def test_identity_rhs_rejects_unknown_term():
