@@ -29,7 +29,6 @@ from .numtheory import (
 from .qseries import QSeries
 from .reporting import CheckReport
 from .sums import (
-    LatticeSumSpec,
     g_series,
     lambda_series,
     lambda_u4_twist,
@@ -58,7 +57,6 @@ __all__ = [
     "GroupSpec",
     "HurwitzTable",
     "IdentityReport",
-    "LatticeSumSpec",
     "PrimeRepresentation",
     "QSeries",
     "TraceDistribution",

@@ -4,7 +4,11 @@ Commands: hurwitz, hurwitz-table, qexp, lattice-sum, hsum, cross-check,
 verify, ec-traces.  Every command accepts --format text|json; JSON output
 is the envelope {"command": ..., "result": ..., "reports": [...]} with all
 rationals as canonical Fraction strings, never floats, and with stable key
-order so that parse + re-serialize is byte-identical.
+order so that parse + re-serialize is byte-identical.  Each handler takes
+the parsed argparse.Namespace and calls the package directly.  The three
+series commands (hurwitz-table, qexp, lattice-sum) share one printer.
+lattice-sum, hsum and ec-traces report the ValueError of the package
+function they call as a usage error, so those checks live in one place.
 
 Exit codes: 0 on success (for verification commands: all verdicts true),
 1 when a verification found mismatches or a cross-check's prime range
@@ -16,18 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import eccount, formulas, verify
 from .forms import d_series, e2_series, psi_series, theta_mM
-from .hurwitz import hurwitz, table_at_least
+from .hurwitz import hurwitz, hurwitz_series
 from .numtheory import CHI_MINUS3, CHI_MINUS4
 from .qseries import QSeries
-from .sums import LatticeSumSpec, build_series
+from .sums import g_series, lambda_series, mu_series, t_series
 
-__all__ = ["CliConfig", "build_parser", "run", "main"]
+__all__ = ["build_parser", "run", "main"]
 
 # largest p the curve sweeps accept
 _EC_MAX_P = 500
@@ -62,28 +63,30 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed invocation: command, output format, parameters."""
-
-    command: str
-    format: str = "text"
-    params: dict = field(default_factory=dict)
-
-
 def canonical_json(payload: dict) -> str:
     """Stable serialization; loads() then dumps() reproduces it exactly."""
     return json.dumps(payload, indent=2)
 
 
-def _emit(config: CliConfig, result, reports: list[dict], text_lines: list[str]) -> None:
-    if config.format == "json":
+def _emit(args: argparse.Namespace, result, reports: list[dict],
+          text_lines: list[str]) -> None:
+    if args.format == "json":
         print(canonical_json(
-            {"command": config.command, "result": result, "reports": reports}
+            {"command": args.command, "result": result, "reports": reports}
         ))
     else:
         for line in text_lines:
             print(line)
+
+
+def _emit_series(args: argparse.Namespace, series: QSeries) -> None:
+    """The coefficients: in JSON as Fraction strings, in text one
+    "n:numerator/denominator" line each, denominator always written."""
+    if args.format == "json":
+        _emit(args, series.to_strings(), [], [])
+    else:
+        print("\n".join(f"{n}:{c.numerator}/{c.denominator}"
+                        for n, c in enumerate(series.coeffs)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,29 +184,20 @@ def _parse_form(name: str, terms: int) -> QSeries:
     raise UsageError(f"unknown form {name!r}")
 
 
-def _series_lines(values: Iterable[Fraction]) -> list[str]:
-    """Text output, one line per coefficient: "n:numerator/denominator"."""
-    return [f"{n}:{v.numerator}/{v.denominator}" for n, v in enumerate(values)]
-
-
-def _cmd_hurwitz(config: CliConfig) -> int:
-    n = config.params["n"]
-    if n > _HURWITZ_MAX_N and n % 4 in (0, 3):
+def _cmd_hurwitz(args: argparse.Namespace) -> int:
+    if args.n > _HURWITZ_MAX_N and args.n % 4 in (0, 3):
         raise UsageError(f"n is capped at {_HURWITZ_MAX_N} unless H(n) = 0")
-    value = hurwitz(n)
-    _emit(config, str(value), [], [str(value)])
+    value = hurwitz(args.n)
+    _emit(args, str(value), [], [str(value)])
     return 0
 
 
-def _cmd_hurwitz_table(config: CliConfig) -> int:
-    limit = config.params["limit"]
-    if limit < 1:
+def _cmd_hurwitz_table(args: argparse.Namespace) -> int:
+    if args.limit < 1:
         raise UsageError("--limit must be >= 1")
-    if limit > _TABLE_MAX:
+    if args.limit > _TABLE_MAX:
         raise UsageError(f"--limit is capped at {_TABLE_MAX}")
-    table = table_at_least(limit)
-    values = [Fraction(table.values12[n], 12) for n in range(limit)]
-    _emit(config, [str(v) for v in values], [], _series_lines(values))
+    _emit_series(args, hurwitz_series(args.limit))
     return 0
 
 
@@ -214,42 +208,42 @@ def _check_terms(terms: int) -> None:
         raise UsageError(f"--terms is capped at {_SERIES_MAX}")
 
 
-def _cmd_qexp(config: CliConfig) -> int:
-    terms = config.params["terms"]
-    _check_terms(terms)
-    series = _parse_form(config.params["form"], terms)
-    _emit(config, series.to_strings(), [], _series_lines(series.coeffs))
+def _cmd_qexp(args: argparse.Namespace) -> int:
+    _check_terms(args.terms)
+    _emit_series(args, _parse_form(args.form, args.terms))
     return 0
 
 
-def _cmd_lattice_sum(config: CliConfig) -> int:
-    params = config.params
-    _check_terms(params["terms"])
-    if params["variant"] == "mu":
-        if params["a"] is None or params["b"] is None:
+_LATTICE_SERIES = {"lambda": lambda_series, "G": g_series, "T": t_series}
+
+
+def _cmd_lattice_sum(args: argparse.Namespace) -> int:
+    _check_terms(args.terms)
+    if args.variant == "mu":
+        if args.a is None or args.b is None:
             raise UsageError("the mu variant needs --a and --b")
-    elif params["a"] is not None or params["b"] is not None:
+    elif args.a is not None or args.b is not None:
         raise UsageError("--a/--b apply to the mu variant only")
     try:
-        spec = LatticeSumSpec(ell=params["ell"], m=params["m"],
-                              M=params["modulus"], variant=params["variant"],
-                              a=params["a"], b=params["b"])
+        if args.variant == "mu":
+            series = mu_series(args.ell, args.a, args.b, args.modulus, args.terms)
+        else:
+            series = _LATTICE_SERIES[args.variant](args.ell, args.m, args.modulus,
+                                                   args.terms)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    series = build_series(spec, params["terms"])
-    _emit(config, series.to_strings(), [], _series_lines(series.coeffs))
+    _emit_series(args, series)
     return 0
 
 
-def _cmd_hsum(config: CliConfig) -> int:
-    params = config.params
+def _cmd_hsum(args: argparse.Namespace) -> int:
     try:
-        result = formulas.h_formula(params["modulus"], params["p"], params["m"])
+        result = formulas.h_formula(args.modulus, args.p, args.m)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     lines = [str(result.value)]
     payload: object = str(result.value)
-    if params["explain"]:
+    if args.explain:
         rep = result.representation
         rep_dict = None
         lines.append(f"branch: {result.branch}")
@@ -258,7 +252,7 @@ def _cmd_hsum(config: CliConfig) -> int:
             lines.append(f"representation: p = x^2 + {rep.n}*y^2 with x={rep.x}, y={rep.y}")
         payload = {"value": str(result.value), "branch": result.branch,
                    "representation": rep_dict}
-    _emit(config, payload, [], lines)
+    _emit(args, payload, [], lines)
     return 0
 
 
@@ -272,40 +266,38 @@ def _report_text(report: dict) -> str:
             f"mismatches {report['mismatch_count']})")
 
 
-def _cmd_cross_check(config: CliConfig) -> int:
-    params = config.params
-    p_min = formulas.FIRST_PRIME[params["modulus"]]
-    if params["pmax"] < p_min:
-        raise UsageError(f"--pmax must be >= {p_min} for modulus {params['modulus']}")
-    if params["pmax"] > _TABLE_MAX_PMAX:
+def _cmd_cross_check(args: argparse.Namespace) -> int:
+    p_min = formulas.FIRST_PRIME[args.modulus]
+    if args.pmax < p_min:
+        raise UsageError(f"--pmax must be >= {p_min} for modulus {args.modulus}")
+    if args.pmax > _TABLE_MAX_PMAX:
         raise UsageError(f"--pmax is capped at {_TABLE_MAX_PMAX}")
-    report = formulas.cross_check(params["modulus"], params["pmax"]).to_dict()
+    report = formulas.cross_check(args.modulus, args.pmax).to_dict()
     ok = report["verdict"] and report["details"]["branch_coverage_complete"]
     lines = [_report_text(report),
              "branch coverage: "
              + ("complete" if report["details"]["branch_coverage_complete"]
                 else "INCOMPLETE")]
-    _emit(config, {"all_verdicts_true": ok}, [report], lines)
+    _emit(args, {"all_verdicts_true": ok}, [report], lines)
     return 0 if ok else 1
 
 
-def _suite_jobs(suite: str, pmax: int, overshoot: int):
-    """Ordered (name, thunk) pairs; each thunk returns a list of report dicts."""
-    jobs = []
+def _suite_reports(suite: str, pmax: int, overshoot: int) -> list[dict]:
+    """The report dicts of a suite, in order."""
+    reports = []
     if suite in ("mod6", "all"):
-        jobs.append(("mod6", lambda: [r.to_dict() for r in verify.verify_mod6(overshoot)]))
+        reports += [r.to_dict() for r in verify.verify_mod6(overshoot)]
     if suite in ("mod8", "all"):
-        jobs.append(("mod8", lambda: [r.to_dict() for r in verify.verify_mod8(overshoot)]))
+        reports += [r.to_dict() for r in verify.verify_mod8(overshoot)]
     if suite in ("lemmas", "all"):
-        jobs.append(("lemmas", lambda: [verify.verify_lemmas(pmax).to_dict()]))
+        reports.append(verify.verify_lemmas(pmax).to_dict())
     if suite in ("classical", "all"):
-        jobs.append(("classical", lambda: [verify.verify_classical(pmax).to_dict()]))
+        reports.append(verify.verify_classical(pmax).to_dict())
     if suite == "ec":
-        capped = min(pmax, _EC_MAX_P)
-        if capped < pmax:
+        if pmax > _EC_MAX_P:
             print(f"warning: ec suite capped at p <= {_EC_MAX_P}", file=sys.stderr)
-        jobs.append(("ec", lambda: [eccount.verify_curve_counts(capped).to_dict()]))
-    return jobs
+        reports.append(eccount.verify_curve_counts(min(pmax, _EC_MAX_P)).to_dict())
+    return reports
 
 
 def _check_verify_caps(suite: str, pmax: int, overshoot: int) -> None:
@@ -326,27 +318,23 @@ def _check_verify_caps(suite: str, pmax: int, overshoot: int) -> None:
             raise UsageError(f"--overshoot is capped at {cap} for --suite {suite}")
 
 
-def _cmd_verify(config: CliConfig) -> int:
-    params = config.params
-    need = _VERIFY_MIN_PMAX.get(params["suite"], 1)
-    if params["pmax"] < need:
-        raise UsageError(f"--pmax must be >= {need} for --suite {params['suite']}")
-    if params["overshoot"] < 1:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    need = _VERIFY_MIN_PMAX.get(args.suite, 1)
+    if args.pmax < need:
+        raise UsageError(f"--pmax must be >= {need} for --suite {args.suite}")
+    if args.overshoot < 1:
         raise UsageError("--overshoot must be >= 1")
-    _check_verify_caps(params["suite"], params["pmax"], params["overshoot"])
-    jobs = _suite_jobs(params["suite"], params["pmax"], params["overshoot"])
-    results = [thunk() for _, thunk in jobs]
-    reports = [r for chunk in results for r in chunk]
+    _check_verify_caps(args.suite, args.pmax, args.overshoot)
+    reports = _suite_reports(args.suite, args.pmax, args.overshoot)
     all_ok = all(r["verdict"] for r in reports)
     lines = [_report_text(r) for r in reports]
     lines.append("all identities verified" if all_ok else "VERIFICATION FAILED")
-    _emit(config, {"suite": params["suite"], "all_verdicts_true": all_ok},
-          reports, lines)
+    _emit(args, {"suite": args.suite, "all_verdicts_true": all_ok}, reports, lines)
     return 0 if all_ok else 1
 
 
-def _cmd_ec_traces(config: CliConfig) -> int:
-    p = config.params["p"]
+def _cmd_ec_traces(args: argparse.Namespace) -> int:
+    p = args.p
     if p > _EC_MAX_P:
         raise UsageError(f"p is capped at {_EC_MAX_P}")
     try:
@@ -361,7 +349,7 @@ def _cmd_ec_traces(config: CliConfig) -> int:
         "mass": str(dist.mass()),
         "weights": {str(t): str(dist.weights[t]) for t in traces},
     }
-    _emit(config, result, [], lines)
+    _emit(args, result, [], lines)
     return 0
 
 
@@ -384,11 +372,8 @@ def run(argv: list[str]) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage
         return 0 if exc.code == 0 else 2
-    params = {k: v for k, v in vars(ns).items()
-              if k not in ("command", "format")}
     try:
-        config = CliConfig(command=ns.command, format=ns.format, params=params)
-        return _HANDLERS[ns.command](config)
+        return _HANDLERS[ns.command](ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

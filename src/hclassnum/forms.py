@@ -58,7 +58,7 @@ def theta_weighted(chi: DirichletCharacter, precision: int) -> QSeries:
         raise ValueError("precision must be >= 1")
     num2 = [0] * precision  # accumulate twice the coefficients to stay integral
     for x in range(-isqrt(precision - 1), isqrt(precision - 1) + 1):
-        num2[x * x] += int(chi(x)) * x
+        num2[x * x] += chi(x) * x
     return QSeries._from_numerators(num2, 2)
 
 
@@ -79,7 +79,7 @@ def psi_series(k: int, chi: DirichletCharacter, precision: int) -> QSeries:
     num2 = [0] * precision  # accumulate twice the coefficients to stay integral
     xmax = isqrt(precision - 1)
     for x in range(-xmax, xmax + 1):
-        cx = int(chi(x)) * x
+        cx = chi(x) * x
         if not cx:
             continue
         xx = x * x

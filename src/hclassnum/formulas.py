@@ -130,16 +130,7 @@ def h_formula(M: int, p: int, m: int) -> FormulaResult:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
     if p < FIRST_PRIME[M] or not is_prime(p):
         raise ValueError(f"H_(m,{M})(p) needs a prime p >= {FIRST_PRIME[M]}")
-    return _evaluate(M, p, m, {})
-
-
-def _evaluate(M: int, p: int, m: int,
-              reps: dict[int, tuple[PrimeRepresentation, int]]) -> FormulaResult:
-    """h_formula for a p already known to be a prime it accepts.
-
-    reps is the representation cache of _row_value.
-    """
-    row, rep, num, den = _row_value(M, p, m, reps)
+    row, rep, num, den = _row_value(M, p, m, {})
     return FormulaResult(p=p, m=m, M=M, value=Fraction(num, den),
                          branch=row.label, representation=rep)
 
@@ -160,7 +151,7 @@ def _row_value(M: int, p: int, m: int, reps: dict[int, tuple[PrimeRepresentation
         if row.form not in reps:
             found = represent(p, row.form)
             chi = CHI_MINUS3 if row.form == 3 else CHI_MINUS4
-            reps[row.form] = found, int(chi(found.x)) * found.x
+            reps[row.form] = found, chi(found.x) * found.x
         rep, chi_x = reps[row.form]
     # (a*p + b)/c + (k/d)*chi(x)*x over the common denominator c*d
     a, b, c = row.linear
@@ -187,17 +178,18 @@ def cross_check(M: int, p_max: int) -> CheckReport:
         reps: dict[int, tuple[PrimeRepresentation, int]] = {}
         for m, brute12 in enumerate(_residue_sums12(M, p, values12)):
             checked += 1
-            row, _, num, den = _row_value(M, p, m, reps)
+            row, rep, num, den = _row_value(M, p, m, reps)
             if 12 * num != brute12 * den:
                 mismatches.append((p, m, Fraction(num, den), Fraction(brute12, 12),
                                    row.label))
             if row.label not in branches:
                 branches.add(row.label)
                 # the row's first cell, again by the scalar paths
-                result = _evaluate(M, p, m, reps)
                 scalar = h_formula(M, p, m)
                 scalar_brute = moment_sum(0, m, M, p)
-                if scalar != result or scalar_brute != Fraction(brute12, 12):
+                if ((scalar.value, scalar.branch, scalar.representation)
+                        != (Fraction(num, den), row.label, rep)
+                        or scalar_brute != Fraction(brute12, 12)):
                     mismatches.append((p, m, scalar.value, scalar_brute, scalar.branch))
     expected = [row.label for row in CASE_ROWS[M]]
     return CheckReport(

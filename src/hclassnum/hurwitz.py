@@ -26,10 +26,10 @@ The restricted sums are
     H_{kappa,m,M}(n) = sum over t = m (mod M), t^2 <= 4n of H(4n - t^2) t^kappa,
 
 with H_{m,M} = H_{0,m,M}.  moment_sum computes one of them by a direct
-t-scan over the table; residue_sums gives H_{m,M}(n) for every m at once
-from one gather of the values H(4n - t^2), and the sweeps over primes read
-that gather as the integers 12*H_{m,M}(n); restricted_series packages them
-as a q-expansion, which doubles as the independent oracle for the
+t-scan over the table.  The sweeps over primes need every m at once: they
+gather the values 12*H(4n - t^2) once and read all M sums off that gather
+as the integers 12*H_{m,M}(n).  restricted_series packages the sums as a
+q-expansion, which doubles as the independent oracle for the
 operator-built series elsewhere.
 """
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "hurwitz",
     "hurwitz_series",
     "moment_sum",
-    "residue_sums",
     "restricted_series",
 ]
 
@@ -195,19 +194,6 @@ def _residue_sums12(M: int, n: int, values12) -> list[int]:
     sums = [half[m] + half[-m % M] for m in range(M)]
     sums[0] -= vals[0]
     return sums
-
-
-def residue_sums(M: int, n: int) -> list[Fraction]:
-    """[H_{0,M}(n), H_{1,M}(n), ..., H_{M-1,M}(n)] from one gather.
-
-    Equal to moment_sum(0, m, M, n) for each m.
-    """
-    if M < 1:
-        raise ValueError("modulus must be positive")
-    if n < 0:
-        raise ValueError("argument must be nonnegative")
-    values12 = table_at_least(4 * n + 1).values12
-    return [Fraction(s, 12) for s in _residue_sums12(M, n, values12)]
 
 
 def restricted_series(m: int, M: int, precision: int) -> QSeries:

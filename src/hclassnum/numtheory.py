@@ -8,7 +8,6 @@ Everything is exact integer or rational arithmetic; no floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 __all__ = [
@@ -159,8 +158,8 @@ class DirichletCharacter:
         the modulus, for disc = 0, 1 (mod 4), disc != 0, so that the symbol
         is periodic with period |disc| (e.g. -3, -4, 8).
 
-    Calling the character returns an exact Fraction; residue_values gives
-    the same values as plain ints over one period.
+    Calling the character returns its value as an int; residue_values gives
+    the values over one period.
     """
 
     modulus: int
@@ -194,19 +193,16 @@ class DirichletCharacter:
             return lcm(self.modulus, abs(self.disc))
         return self.modulus
 
-    def _value(self, n: int) -> int:
+    def __call__(self, n: int) -> int:
         if gcd(n, self.modulus) != 1:
             return 0
         if self.kind == "principal":
             return 1
         return kronecker_symbol(self.disc, n)
 
-    def __call__(self, n: int) -> Fraction:
-        return Fraction(self._value(n))
-
     def residue_values(self) -> tuple[int, ...]:
-        """chi(0), chi(1), ..., chi(period - 1) as ints."""
-        return tuple(self._value(r) for r in range(self.period))
+        """chi(0), chi(1), ..., chi(period - 1)."""
+        return tuple(self(r) for r in range(self.period))
 
     def is_odd(self) -> bool:
         """True when chi(-1) = -1."""

@@ -38,7 +38,6 @@ verify_lemmas checks it against the literal pipeline lambda_series | U_4
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -46,7 +45,6 @@ from .numtheory import DirichletCharacter, divisors
 from .qseries import QSeries
 
 __all__ = [
-    "LatticeSumSpec",
     "mu_coeff",
     "mu_closed",
     "lambda_series",
@@ -54,34 +52,12 @@ __all__ = [
     "g_series",
     "t_series",
     "lambda_u4_twist",
-    "build_series",
 ]
 
 
-@dataclass(frozen=True)
-class LatticeSumSpec:
-    """Selector for one of the lattice-sum families (CLI plumbing).
-
-    variant is "lambda", "G", "T", or "mu"; the mu family ignores m and
-    takes the residue pair (a, b) instead.
-    """
-
-    ell: int
-    m: int
-    M: int
-    variant: str
-    a: int | None = None
-    b: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.ell < 0:
-            raise ValueError("ell must be nonnegative")
-        if self.M < 1:
-            raise ValueError("modulus must be positive")
-        if self.variant not in ("lambda", "G", "T", "mu"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "mu" and (self.a is None or self.b is None):
-            raise ValueError("mu variant needs residues a and b")
+def _ell_modulus_error(ell: int) -> ValueError:
+    """The error for ell < 0 or M < 1, ell checked first."""
+    return ValueError("ell must be nonnegative" if ell < 0 else "modulus must be positive")
 
 
 def _branch_weight(t: int, m: int, M: int) -> int:
@@ -91,6 +67,8 @@ def _branch_weight(t: int, m: int, M: int) -> int:
 
 def mu_coeff(ell: int, a: int, b: int, M: int, n: int) -> int:
     """mu_{ell,a,b,M}(n): literal scan over t > s >= 1 with t^2 - s^2 = 4n."""
+    if ell < 0 or M < 1:
+        raise _ell_modulus_error(ell)
     if n < 1:
         raise ValueError("n must be >= 1")
     four_n = 4 * n
@@ -118,6 +96,8 @@ def mu_closed(ell: int, a: int, b: int, M: int, n: int) -> int:
     d | n with d < sqrt(n) and d = a1 - b1 (mod 2^(e-1) M1), provided
     n = a1^2 - b1^2 (mod 2^f M1), and zero otherwise.
     """
+    if ell < 0 or M < 1:
+        raise _ell_modulus_error(ell)
     if M % 2:
         raise ValueError("closed form requires even modulus")
     if gcd(n, M) != 1:
@@ -139,6 +119,8 @@ def mu_closed(ell: int, a: int, b: int, M: int, n: int) -> int:
 
 def lambda_series(ell: int, m: int, M: int, precision: int) -> QSeries:
     """sum_n lambda_{ell,m,M}(n) q^n, by sweeping factorizations n = d*e."""
+    if ell < 0 or M < 1:
+        raise _ell_modulus_error(ell)
     if precision < 1:
         raise ValueError("precision must be >= 1")
     num2 = [0] * precision  # accumulate 2*lambda to stay integral
@@ -155,6 +137,8 @@ def lambda_series(ell: int, m: int, M: int, precision: int) -> QSeries:
 
 def mu_series(ell: int, a: int, b: int, M: int, precision: int) -> QSeries:
     """sum_n mu_{ell,a,b,M}(n) q^n."""
+    if ell < 0 or M < 1:
+        raise _ell_modulus_error(ell)
     if precision < 1:
         raise ValueError("precision must be >= 1")
     coeffs = [0] * precision
@@ -177,6 +161,8 @@ def mu_series(ell: int, a: int, b: int, M: int, precision: int) -> QSeries:
 
 def g_series(ell: int, m: int, M: int, precision: int) -> QSeries:
     """sum_n g_{ell,m,M}(n) q^n with the strict-divisor constraint d < sqrt(n)."""
+    if ell < 0 or M < 1:
+        raise _ell_modulus_error(ell)
     if precision < 1:
         raise ValueError("precision must be >= 1")
     coeffs = [0] * precision
@@ -193,6 +179,8 @@ def g_series(ell: int, m: int, M: int, precision: int) -> QSeries:
 
 def t_series(ell: int, m: int, M: int, precision: int) -> QSeries:
     """Theta-like moment series: n^ell at exponent n^2 for n = +-m (mod M)."""
+    if ell < 0 or M < 1:
+        raise _ell_modulus_error(ell)
     if precision < 1:
         raise ValueError("precision must be >= 1")
     coeffs = [0] * precision
@@ -210,10 +198,10 @@ def lambda_u4_twist(ell: int, m: int, M: int, precision: int) -> QSeries:
     zero for odd m, otherwise sieved G series plus one twisted T series.
     Odd M is rejected.
     """
+    if ell < 0 or M < 1:
+        raise _ell_modulus_error(ell)
     if M % 2:
         raise ValueError("modulus must be even")
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
     if m % 2:
         return QSeries.zero(precision)
     e = (M & -M).bit_length() - 1
@@ -239,14 +227,3 @@ def lambda_u4_twist(ell: int, m: int, M: int, precision: int) -> QSeries:
         DirichletCharacter.principal(M)
     )
     return total + (two_l / 2) * tpart
-
-
-def build_series(spec: LatticeSumSpec, precision: int) -> QSeries:
-    """Materialize the series selected by a LatticeSumSpec."""
-    if spec.variant == "lambda":
-        return lambda_series(spec.ell, spec.m, spec.M, precision)
-    if spec.variant == "G":
-        return g_series(spec.ell, spec.m, spec.M, precision)
-    if spec.variant == "T":
-        return t_series(spec.ell, spec.m, spec.M, precision)
-    return mu_series(spec.ell, spec.a, spec.b, spec.M, precision)

@@ -217,12 +217,12 @@ def test_ec_suite_small(capsys):
 
 
 def test_ec_suite_clamps_pmax(capsys):
-    from hclassnum.cli import _suite_jobs
-
-    jobs = _suite_jobs("ec", 9999, 1)  # build only; running it would be slow
-    err = capsys.readouterr().err
-    assert "capped" in err
-    assert len(jobs) == 1 and jobs[0][0] == "ec"
+    code, out, err = invoke(capsys, "verify", "--suite", "ec", "--pmax", "9999",
+                            "--format", "json")
+    assert code == 0
+    assert err == "warning: ec suite capped at p <= 500\n"
+    [report] = json.loads(out)["reports"]
+    assert report["checked"] == 5180 and report["verdict"] is True
 
 
 def test_hurwitz_caps_n(capsys):

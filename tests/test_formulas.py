@@ -14,7 +14,7 @@ from hclassnum.formulas import (
     cross_check,
     h_formula,
 )
-from hclassnum.hurwitz import moment_sum, residue_sums
+from hclassnum.hurwitz import moment_sum
 from hclassnum.numtheory import CHI_MINUS3, CHI_MINUS4, primes_up_to
 
 
@@ -170,7 +170,10 @@ def test_evaluator_with_a_shared_cache_matches_h_formula():
                 continue
             reps = {}
             for m in range(-M, 2 * M):
-                assert formulas._evaluate(M, p, m, reps) == h_formula(M, p, m), (M, p, m)
+                row, rep, num, den = formulas._row_value(M, p, m, reps)
+                result = h_formula(M, p, m)
+                assert (result.value, result.branch, result.representation) == \
+                    (Fraction(num, den), row.label, rep), (M, p, m)
 
 
 @pytest.mark.parametrize("M,checked", [(6, 13560), (8, 18088)])
@@ -207,4 +210,4 @@ def test_cross_check_compares_the_scalar_paths(monkeypatch):
     assert report.checked == clean.checked
     assert len(report.mismatches) == len(CASE_ROWS[8])
     for p, m, value, brute, label in report.mismatches:
-        assert brute == residue_sums(8, p)[m] + 1 and value == h_formula(8, p, m).value
+        assert brute == moment_sum(0, m, 8, p) + 1 and value == h_formula(8, p, m).value

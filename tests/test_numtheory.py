@@ -59,6 +59,7 @@ def test_kronecker_multiplicative_in_bottom(a, b1, b2):
 def test_characters_match_kronecker_and_tables():
     for n in range(1, 10**4 + 1):
         v3 = CHI_MINUS3(n)
+        assert type(v3) is int
         assert v3 == kronecker_symbol(-3, n)
         assert v3 == _CHI3_TABLE[n % 3]
         v4 = CHI_MINUS4(n)

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from hclassnum.numtheory import DirichletCharacter
 from hclassnum.qseries import QSeries
 from hclassnum.sums import (
-    LatticeSumSpec,
-    build_series,
     g_series,
     lambda_series,
     lambda_u4_twist,
@@ -170,14 +168,25 @@ def test_odd_modulus_rejected():
         lambda_u4_twist(1, 0, 5, 10)
 
 
-def test_lattice_sum_spec_validation():
-    with pytest.raises(ValueError):
-        LatticeSumSpec(ell=-1, m=0, M=6, variant="lambda")
-    with pytest.raises(ValueError):
-        LatticeSumSpec(ell=0, m=0, M=6, variant="mu")
-    with pytest.raises(ValueError):
-        LatticeSumSpec(ell=0, m=0, M=6, variant="nope")
-    spec = LatticeSumSpec(ell=1, m=2, M=6, variant="G")
-    assert build_series(spec, 50) == g_series(1, 2, 6, 50)
-    spec = LatticeSumSpec(ell=1, m=0, M=6, variant="mu", a=3, b=1)
-    assert build_series(spec, 50) == mu_series(1, 3, 1, 6, 50)
+# every public lattice sum, with the ell and modulus of the call left open
+_LATTICE_SUMS = {
+    "lambda_series": lambda ell, M: lambda_series(ell, 1, M, 10),
+    "g_series": lambda ell, M: g_series(ell, 1, M, 10),
+    "t_series": lambda ell, M: t_series(ell, 1, M, 10),
+    "mu_series": lambda ell, M: mu_series(ell, 0, 4, M, 10),
+    "mu_coeff": lambda ell, M: mu_coeff(ell, 0, 4, M, 5),
+    "mu_closed": lambda ell, M: mu_closed(ell, 0, 4, M, 5),
+}
+
+
+@pytest.mark.parametrize("name", _LATTICE_SUMS)
+def test_lattice_sums_validate_ell_and_modulus(name):
+    # these messages are also the CLI's usage errors, ell checked first
+    call = _LATTICE_SUMS[name]
+    for ell, M in ((-1, 6), (-1, 0)):
+        with pytest.raises(ValueError, match="^ell must be nonnegative$"):
+            call(ell, M)
+    for M in (0, -2):
+        with pytest.raises(ValueError, match="^modulus must be positive$"):
+            call(1, M)
+    call(0, 6)
