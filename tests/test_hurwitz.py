@@ -153,6 +153,16 @@ def test_moment_sum_validates():
 
 def test_residue_sums_match_moment_sum():
     values12 = table_at_least(4 * 5000 + 1).values12
+    for p in primes_up_to(5000):
+        for M in (1, 5, 6, 8):
+            sums = [Fraction(s, 12) for s in _residue_sums12(M, p, values12)]
+            assert sums == [moment_sum(0, m, M, p) for m in range(M)], (M, p)
+    sums = [Fraction(s, 12) for s in _residue_sums12(3, 0, values12)]
+    assert sums == [Fraction(-1, 12), 0, 0]
+
+
+def test_integer_residue_sums_are_twelve_times_the_fractions():
+    values12 = table_at_least(4 * 5000 + 1).values12
     for p in [0] + primes_up_to(5000):
         for M in (1, 3, 5, 6, 8):
             sums12 = _residue_sums12(M, p, values12)
