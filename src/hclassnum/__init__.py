@@ -10,13 +10,7 @@ elliptic-curve counting oracle.
 from .eccount import TraceDistribution, trace_distribution, verify_curve_counts
 from .forms import d_series, e2_series, psi_series, theta0, theta_mM, theta_weighted
 from .formulas import FormulaResult, cross_check, h_formula
-from .hurwitz import (
-    HurwitzTable,
-    build_table,
-    hurwitz_series,
-    moment_sum,
-    restricted_series,
-)
+from .hurwitz import HurwitzTable, build_table, hurwitz_series, moment_sum
 from .numtheory import (
     CHI_MINUS3,
     CHI_MINUS4,
@@ -76,7 +70,6 @@ __all__ = [
     "mu_coeff",
     "psi_series",
     "represent",
-    "restricted_series",
     "sturm_bound",
     "t_series",
     "theta0",

@@ -28,13 +28,13 @@ The restricted sums are
 with H_{m,M} = H_{0,m,M}.  moment_sum computes one of them by a direct
 t-scan over the table.  The sweeps over primes need every m at once: they
 gather the values 12*H(4n - t^2) once and read all M sums off that gather
-as the integers 12*H_{m,M}(n).  restricted_series packages the sums as a
-q-expansion, which doubles as the independent oracle for the
-operator-built series elsewhere.
+as the integers 12*H_{m,M}(n).  The q-expansion sum_n H_{m,M}(n) q^n is
+built once, by the operator pipeline (hurwitz_series * theta_{m,M}) | U_4
+in verify.identity_lhs; a test oracle in tests/oracles.py rebuilds it term
+by term from moment_sum, and the tests compare the two.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -48,7 +48,6 @@ __all__ = [
     "hurwitz",
     "hurwitz_series",
     "moment_sum",
-    "restricted_series",
 ]
 
 
@@ -101,20 +100,15 @@ def build_table(limit: int) -> HurwitzTable:
     return HurwitzTable(limit=limit, values12=tuple(v))
 
 
-_lock = threading.Lock()
 _table = build_table(1)
 
 
 def table_at_least(limit: int) -> HurwitzTable:
     """Shared table covering at least [0, limit); grown on demand."""
     global _table
-    t = _table
-    if t.limit >= limit:
-        return t
-    with _lock:
-        if _table.limit < limit:
-            _table = build_table(max(limit, 2 * _table.limit, 1024))
-        return _table
+    if _table.limit < limit:
+        _table = build_table(max(limit, 2 * _table.limit, 1024))
+    return _table
 
 
 def _forms12(n: int) -> int:
@@ -195,15 +189,3 @@ def _residue_sums12(M: int, n: int, values12) -> list[int]:
     sums[0] -= vals[0]
     return sums
 
-
-def restricted_series(m: int, M: int, precision: int) -> QSeries:
-    """sum_n H_{m,M}(n) q^n, computed term by term from moment_sum.
-
-    This is the brute-force construction; the same series also arises as
-    (hurwitz_series * theta_{m,M}) under U_4, and the two paths are kept
-    independent so that each can check the other.
-    """
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    table_at_least(4 * (precision - 1) + 1)  # one build instead of many
-    return QSeries(moment_sum(0, m, M, n) for n in range(precision))

@@ -10,6 +10,11 @@ Each identity compares two weight-2 q-expansions coefficient by coefficient:
         and one of the CM series psi_series(3, chi_{-3}), psi_series(4,
         chi_{-4}), psi_series(2, chi_{-4}).
 
+Each side has one construction here: the LHS through the operator pipeline,
+the CM series by lattice enumeration.  The independent rebuilds, the LHS
+from brute-force t-scans (an oracle in tests/oracles.py) and each psi as
+a theta product, live in the tests.
+
 Both sides are modular of weight 2 on the recorded group, so agreement of
 the first floor(2 * index / 12) + 1 coefficients forces equality; the
 suites check a multiple of that bound (overshoot) to also catch precision
@@ -33,7 +38,7 @@ from fractions import Fraction
 from math import gcd
 
 from .forms import d_series, psi_series, theta_mM
-from .hurwitz import _residue_sums12, hurwitz_series, restricted_series, table_at_least
+from .hurwitz import _residue_sums12, hurwitz_series, table_at_least
 from .numtheory import (
     CHI_MINUS3,
     CHI_MINUS4,
@@ -210,20 +215,16 @@ MOD8_IDENTITIES: tuple[IdentitySpec, ...] = (
 )
 
 
-def identity_lhs(spec: IdentitySpec, precision: int, direct: bool = False) -> QSeries:
+def identity_lhs(spec: IdentitySpec, precision: int) -> QSeries:
     """Left side of an identity, to the requested precision.
 
-    The default pipeline multiplies the class-number series by the sieved
-    theta and applies U_4; direct=True instead evaluates every restricted
-    sum H_{m,M}(n) by brute-force t-scans.  The two must agree, and tests
-    hold them to that.
+    Multiplies the class-number series by the sieved theta and applies U_4.
+    The tests rebuild the same side from brute-force t-scans of every
+    H_{m,M}(n), with an oracle in tests/oracles.py, and compare the two.
     """
     m, M = spec.m, spec.modulus
-    if direct:
-        base = restricted_series(m, M, precision)
-    else:
-        inner = 4 * precision - 3  # U_4 output then has exactly `precision`
-        base = (hurwitz_series(inner) * theta_mM(m, M, inner)).u_operator(4)
+    inner = 4 * precision - 3  # U_4 output then has exactly `precision`
+    base = (hurwitz_series(inner) * theta_mM(m, M, inner)).u_operator(4)
     chi0 = DirichletCharacter.principal(M)
     correction = Fraction(1, 2) * lambda_u4_twist(1, m, M, precision)
     return base.twist(chi0) + correction

@@ -4,11 +4,12 @@ These deliberately avoid the production code paths: class numbers come from
 a box scan plus canonical reduction instead of direct reduced enumeration,
 the H-table from one strided walk per reduced-form tail instead of merged
 columns, products from literal double sums over Fractions instead of the
-integer operator pipeline, lambda coefficients one n at a time from its
-divisors instead of one sweep over all factorizations, curve counts from
-every raw Weierstrass pair instead of one curve per j-invariant, primality
-from trial division, and representations p = x^2 + n*y^2 from a scan over y
-instead of Cornacchia.
+integer operator pipeline, restricted-sum series one t-scan per
+coefficient instead of (H * theta_{m,M}) | U_4, lambda coefficients one n
+at a time from its divisors instead of one sweep over all factorizations,
+curve counts from every raw Weierstrass pair instead of one curve per
+j-invariant, primality from trial division, and representations
+p = x^2 + n*y^2 from a scan over y instead of Cornacchia.
 """
 from __future__ import annotations
 
@@ -108,6 +109,21 @@ def build_table_strides(limit: int) -> list[int]:
             for n in range(step * (a + 1) - bb, limit, step):
                 v[n] += w
     return v
+
+
+def restricted_series(m: int, M: int, precision: int):
+    """sum_n H_{m,M}(n) q^n, one moment_sum t-scan per coefficient.
+
+    The brute-force reference for the operator pipeline that builds the same
+    series as (hurwitz_series * theta_{m,M}) | U_4.
+    """
+    # imported here: perfbench/references.py loads this file for
+    # hurwitz_naive alone, without the package on the path
+    from hclassnum.hurwitz import moment_sum, table_at_least
+    from hclassnum.qseries import QSeries
+
+    table_at_least(4 * (precision - 1) + 1)  # one build instead of many
+    return QSeries(moment_sum(0, m, M, n) for n in range(precision))
 
 
 def cauchy_naive(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -17,6 +17,8 @@ from hclassnum.numtheory import (
     DirichletCharacter,
     divisors,
     is_prime,
+    primes_up_to,
+    represent,
 )
 from hclassnum.qseries import QSeries
 
@@ -63,12 +65,34 @@ def test_psi_leading_coefficient_is_one():
         assert psi_series(k, chi, 4)[1] == 1
 
 
-def test_psi_enumeration_equals_theta_product():
-    prec = 400
+# 1025 terms is the largest psi of `verify --suite all` at the default
+# overshoot; 4097 the largest of the identities at overshoot 16
+@pytest.mark.parametrize("prec", [400, 1025, 4097])
+def test_psi_enumeration_equals_theta_product(prec):
     for k, chi in ((3, CHI_MINUS3), (4, CHI_MINUS4), (2, CHI_MINUS4)):
-        enum = psi_series(k, chi, prec)  # self-check runs inside
+        enum = psi_series(k, chi, prec)
         product = theta_weighted(chi, prec) * theta0(prec).v_operator(k)
         assert enum == product.truncate(prec)
+
+
+def test_psi_at_primes_is_the_hecke_character():
+    """psi_k(chi)[p] = 2 chi(x) x when p = x^2 + k y^2, else 0.
+
+    At a prime p the lattice points of norm p are the four (+-x, +-y), each
+    adding chi(x) x.  This is Hecke's description of a CM form at primes:
+    the coefficient sums a Groessencharacter over the elements x +- y
+    sqrt(-k) of norm p, and it is the link from psi to the chi(x) x term of
+    the closed forms for H_{m,6}(p) and H_{m,8}(p).  As a theorem it holds
+    for every prime, which no finite computation proves, so it is tested
+    here at every prime below 10^4 and not claimed beyond.
+    """
+    prec = 10**4
+    for k, chi in ((3, CHI_MINUS3), (4, CHI_MINUS4), (2, CHI_MINUS4)):
+        psi = psi_series(k, chi, prec)
+        for p in primes_up_to(prec - 1):
+            rep = represent(p, k)
+            want = 0 if rep is None else 2 * chi(rep.x) * rep.x
+            assert psi[p] == want, (k, p)
 
 
 def test_psi3_vanishes_at_inert_primes():

@@ -1,5 +1,8 @@
+import importlib.util
+import sys
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +14,10 @@ from hclassnum.hurwitz import (
     hurwitz,
     hurwitz_series,
     moment_sum,
-    restricted_series,
     table_at_least,
 )
 from hclassnum.numtheory import primes_up_to
-from oracles import build_table_strides, hurwitz_naive
+from oracles import build_table_strides, hurwitz_naive, restricted_series
 
 
 def test_pinned_values():
@@ -73,10 +75,39 @@ def test_form_count_matches_naive_oracle_past_the_table():
 
 
 def test_lookup_past_the_table_leaves_it_alone():
-    limit = table_at_least(1).limit
-    n = 4 * limit + 3
+    from hclassnum import hurwitz as module
+
+    table = table_at_least(1)
+    n = 4 * table.limit + 3
     assert hurwitz(n) == Fraction(_forms12(n), 12)
-    assert table_at_least(1).limit == limit
+    assert module._table is table
+
+
+def test_table_at_least_growth_rule(monkeypatch):
+    from hclassnum import hurwitz as module
+
+    small = build_table(10)
+    monkeypatch.setattr(module, "_table", small)
+    assert table_at_least(10) is small  # covered: the same object
+    # uncovered: grown to max(limit, 2 * old, 1024) and shared from then on
+    for limit, grown in ((11, 1024), (1500, 2048), (5000, 5000)):
+        table = table_at_least(limit)
+        assert table.limit == grown, limit
+        assert module._table is table
+        assert table_at_least(limit - 1) is table
+
+
+def test_oracles_load_without_the_package(monkeypatch):
+    # perfbench/references.py loads tests/oracles.py by path for
+    # hurwitz_naive, where hclassnum is not importable; a cached submodule
+    # would still import, so hide those too
+    for name in ["hclassnum", *(n for n in sys.modules if n.startswith("hclassnum."))]:
+        monkeypatch.setitem(sys.modules, name, None)
+    path = Path(__file__).with_name("oracles.py")
+    spec = importlib.util.spec_from_file_location("oracles_standalone", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.hurwitz_naive(23) == 3
 
 
 def test_table_bounds():

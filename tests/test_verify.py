@@ -7,7 +7,8 @@ import pytest
 
 from hclassnum import verify
 from hclassnum.formulas import cross_check
-from hclassnum.numtheory import primes_up_to
+from hclassnum.numtheory import DirichletCharacter, primes_up_to
+from hclassnum.sums import lambda_u4_twist
 from hclassnum.verify import (
     MOD6_IDENTITIES,
     MOD8_IDENTITIES,
@@ -23,6 +24,7 @@ from hclassnum.verify import (
     verify_mod6,
     verify_mod8,
 )
+from oracles import restricted_series
 
 
 def test_group_index_pinned():
@@ -74,7 +76,10 @@ def test_mod8_reports():
                          ids=lambda s: s.name)
 def test_both_lhs_pipelines_agree(spec):
     prec = 120
-    assert identity_lhs(spec, prec) == identity_lhs(spec, prec, direct=True)
+    m, M = spec.m, spec.modulus
+    brute = (restricted_series(m, M, prec).twist(DirichletCharacter.principal(M))
+             + Fraction(1, 2) * lambda_u4_twist(1, m, M, prec))
+    assert identity_lhs(spec, prec) == brute
 
 
 def test_mod8_odd_cases_differ_only_in_cm_sign():
