@@ -22,9 +22,8 @@ import json
 import sys
 
 from . import eccount, formulas, verify
-from .forms import d_series, e2_series, psi_series, theta_mM
+from .forms import CM_CHARACTER, d_series, e2_series, psi_series, theta_mM
 from .hurwitz import hurwitz, hurwitz_series
-from .numtheory import CHI_MINUS3, CHI_MINUS4
 from .qseries import QSeries
 from .sums import g_series, lambda_series, mu_series, t_series
 
@@ -160,12 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_form(name: str, terms: int) -> QSeries:
-    if name == "psi3":
-        return psi_series(3, CHI_MINUS3, terms)
-    if name == "psi4":
-        return psi_series(4, CHI_MINUS4, terms)
-    if name == "psi2":
-        return psi_series(2, CHI_MINUS4, terms)
+    for k, chi in CM_CHARACTER.items():
+        if name == f"psi{k}":
+            return psi_series(k, chi, terms)
     if name == "D":
         return d_series(terms)
     if name == "E2":

@@ -9,6 +9,9 @@
     36.2.a.a, psi_series(4, chi_{-4}) is 64.2.a.a, and psi_series(2,
     chi_{-4}) is the real combination of the pair 64.2.b.a (LMFDB labels,
     recorded here as documentation; nothing is fetched);
+  * CM_CHARACTER: the character paired with each CM form psi_k, for k = 2,
+    3, 4; the package reads chi from this map wherever it builds psi_k or
+    reads chi(x)*x for the form x^2 + k*y^2;
   * d_series: sum sigma(n) q^n;  e2_series: 1 - 24 sum sigma(n) q^n,
     related by D = 1/24 - E2/24.
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .numtheory import DirichletCharacter
+from .numtheory import CHI_MINUS3, CHI_MINUS4, DirichletCharacter
 from .qseries import QSeries
 
 __all__ = [
@@ -28,6 +31,7 @@ __all__ = [
     "theta0",
     "theta_weighted",
     "psi_series",
+    "CM_CHARACTER",
     "d_series",
     "e2_series",
 ]
@@ -86,6 +90,14 @@ def psi_series(k: int, chi: DirichletCharacter, precision: int) -> QSeries:
         for y in range(-ymax, ymax + 1):
             num2[xx + k * y * y] += cx
     return QSeries._from_numerators(num2, 2)
+
+
+# the odd character of each CM form psi_k = psi_series(k, CM_CHARACTER[k])
+CM_CHARACTER: dict[int, DirichletCharacter] = {
+    2: CHI_MINUS4,
+    3: CHI_MINUS3,
+    4: CHI_MINUS4,
+}
 
 
 def _sigma_table(precision: int) -> list[int]:

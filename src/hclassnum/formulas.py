@@ -27,15 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .forms import CM_CHARACTER
 from .hurwitz import _residue_sums12, moment_sum, table_at_least
-from .numtheory import (
-    CHI_MINUS3,
-    CHI_MINUS4,
-    PrimeRepresentation,
-    is_prime,
-    primes_up_to,
-    represent,
-)
+from .numtheory import PrimeRepresentation, is_prime, primes_up_to, represent
 from .reporting import CheckReport
 
 __all__ = [
@@ -122,9 +116,9 @@ def _fold(m: int, M: int) -> int:
 def h_formula(M: int, p: int, m: int) -> FormulaResult:
     """H_{m,M}(p) for M = 6 (primes p >= 5) or M = 8 (primes p >= 3).
 
-    The character is chi_{-3} for the form x^2 + 3y^2 and chi_{-4} for
-    x^2 + 2y^2 and x^2 + 4y^2; chi(x)*x does not depend on the sign of x
-    because both characters are odd.
+    The character chi of the form x^2 + n*y^2 is forms.CM_CHARACTER[n],
+    the one paired with the CM form psi_n; chi(x)*x does not depend on the
+    sign of x because every character there is odd.
     """
     if M not in CASE_ROWS:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
@@ -150,8 +144,7 @@ def _row_value(M: int, p: int, m: int, reps: dict[int, tuple[PrimeRepresentation
     if row.form is not None:
         if row.form not in reps:
             found = represent(p, row.form)
-            chi = CHI_MINUS3 if row.form == 3 else CHI_MINUS4
-            reps[row.form] = found, chi(found.x) * found.x
+            reps[row.form] = found, CM_CHARACTER[row.form](found.x) * found.x
         rep, chi_x = reps[row.form]
     # (a*p + b)/c + (k/d)*chi(x)*x over the common denominator c*d
     a, b, c = row.linear

@@ -6,9 +6,10 @@ Each identity compares two weight-2 q-expansions coefficient by coefficient:
         plus a correction equal to 1/2 of the closed form of
         Lambda_{1,m,M} | U_4 twisted the same way (a combination of sieved
         divisor-sum series G and the square-supported series T);
-  RHS = a fixed rational combination of sieved copies of D = sum sigma(n) q^n
-        and one of the CM series psi_series(3, chi_{-3}), psi_series(4,
-        chi_{-4}), psi_series(2, chi_{-4}).
+  RHS = sieved copies of one D = sum sigma(n) q^n, coeff * D | S_{modulus,
+        residue} for each of the identity's d_terms, plus at most one CM
+        series coeff * psi_k, with psi_k = psi_series(k, CM_CHARACTER[k])
+        for k = 3, 4 or 2 (none for m = 2 mod 8).
 
 Each side has one construction here: the LHS through the operator pipeline,
 the CM series by lattice enumeration.  The independent rebuilds, the LHS
@@ -37,16 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .forms import d_series, psi_series, theta_mM
+from .forms import CM_CHARACTER, d_series, psi_series, theta_mM
 from .hurwitz import _residue_sums12, hurwitz_series, table_at_least
-from .numtheory import (
-    CHI_MINUS3,
-    CHI_MINUS4,
-    DirichletCharacter,
-    euler_phi,
-    prime_factors,
-    primes_up_to,
-)
+from .numtheory import DirichletCharacter, euler_phi, prime_factors, primes_up_to
 from .qseries import QSeries
 from .reporting import CheckReport
 from .sums import lambda_series, lambda_u4_twist, mu_closed, mu_coeff
@@ -57,7 +51,6 @@ __all__ = [
     "sturm_bound",
     "IdentityReport",
     "IdentitySpec",
-    "RhsTerm",
     "MOD6_IDENTITIES",
     "MOD8_IDENTITIES",
     "identity_lhs",
@@ -82,11 +75,6 @@ class GroupSpec:
             raise ValueError("levels must be positive")
         if self.n1 % self.n2:
             raise ValueError("n2 must divide n1")
-
-    def label(self) -> str:
-        if self.n2 == 1:
-            return f"Gamma0({self.n1})"
-        return f"Gamma0({self.n1})&Gamma1({self.n2})"
 
 
 def group_index(group: GroupSpec) -> int:
@@ -134,25 +122,19 @@ class IdentityReport:
 
 
 @dataclass(frozen=True)
-class RhsTerm:
-    """One term of an identity right side.
+class IdentitySpec:
+    """One identity: (m, modulus) fix the left side (see identity_lhs), and
+    the right side is
 
-    kind "D_sieve" takes (modulus, residue), "D_principal" takes (modulus,)
-    and twists D by the principal character, "psi" takes (k,) and selects
-    psi_series(k, chi_{-3} if k == 3 else chi_{-4}).
+        sum of coeff * D | S_{modulus,residue} over d_terms
+        + coeff * psi_k for cm = (coeff, k), no CM term when cm is None.
     """
 
-    coeff: Fraction
-    kind: str
-    params: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class IdentitySpec:
     m: int
     modulus: int
     group: GroupSpec
-    rhs: tuple[RhsTerm, ...]
+    d_terms: tuple[tuple[Fraction, int, int], ...]
+    cm: tuple[Fraction, int] | None
 
     @property
     def name(self) -> str:
@@ -165,53 +147,25 @@ _G256 = GroupSpec(256)
 _G256_G1 = GroupSpec(256, 8)
 
 MOD6_IDENTITIES: tuple[IdentitySpec, ...] = (
-    IdentitySpec(0, 6, _G144, (
-        RhsTerm(Fraction(1, 3), "D_sieve", (6, 1)),
-        RhsTerm(Fraction(2, 3), "D_sieve", (6, 5)),
-        RhsTerm(Fraction(1, 6), "psi", (3,)),
-    )),
-    IdentitySpec(1, 6, _G144_G1, (
-        RhsTerm(Fraction(1, 4), "D_sieve", (6, 1)),
-        RhsTerm(Fraction(1, 6), "D_sieve", (6, 5)),
-        RhsTerm(Fraction(1, 12), "psi", (3,)),
-    )),
-    IdentitySpec(2, 6, _G144_G1, (
-        RhsTerm(Fraction(1, 2), "D_sieve", (6, 1)),
-        RhsTerm(Fraction(1, 3), "D_sieve", (6, 5)),
-        RhsTerm(Fraction(-1, 12), "psi", (3,)),
-    )),
-    IdentitySpec(3, 6, _G144_G1, (
-        RhsTerm(Fraction(1, 6), "D_sieve", (6, 1)),
-        RhsTerm(Fraction(1, 3), "D_sieve", (6, 5)),
-        RhsTerm(Fraction(-1, 6), "psi", (3,)),
-    )),
+    IdentitySpec(0, 6, _G144, ((Fraction(1, 3), 6, 1), (Fraction(2, 3), 6, 5)),
+                 (Fraction(1, 6), 3)),
+    IdentitySpec(1, 6, _G144_G1, ((Fraction(1, 4), 6, 1), (Fraction(1, 6), 6, 5)),
+                 (Fraction(1, 12), 3)),
+    IdentitySpec(2, 6, _G144_G1, ((Fraction(1, 2), 6, 1), (Fraction(1, 3), 6, 5)),
+                 (Fraction(-1, 12), 3)),
+    IdentitySpec(3, 6, _G144_G1, ((Fraction(1, 6), 6, 1), (Fraction(1, 3), 6, 5)),
+                 (Fraction(-1, 6), 3)),
 )
 
+# D twisted by the principal character mod 8 (odd m) is D | S_{2,1}
 MOD8_IDENTITIES: tuple[IdentitySpec, ...] = (
-    IdentitySpec(0, 8, _G256, (
-        RhsTerm(Fraction(1, 4), "D_sieve", (4, 1)),
-        RhsTerm(Fraction(1, 3), "D_sieve", (8, 3)),
-        RhsTerm(Fraction(1, 2), "D_sieve", (8, 7)),
-        RhsTerm(Fraction(1, 4), "psi", (4,)),
-    )),
-    IdentitySpec(1, 8, _G256_G1, (
-        RhsTerm(Fraction(1, 6), "D_principal", (8,)),
-        RhsTerm(Fraction(1, 6), "psi", (2,)),
-    )),
-    IdentitySpec(2, 8, _G256, (
-        RhsTerm(Fraction(5, 12), "D_sieve", (4, 1)),
-        RhsTerm(Fraction(1, 4), "D_sieve", (4, 3)),
-    )),
-    IdentitySpec(3, 8, _G256_G1, (
-        RhsTerm(Fraction(1, 6), "D_principal", (8,)),
-        RhsTerm(Fraction(-1, 6), "psi", (2,)),
-    )),
-    IdentitySpec(4, 8, _G256, (
-        RhsTerm(Fraction(1, 4), "D_sieve", (4, 1)),
-        RhsTerm(Fraction(1, 2), "D_sieve", (8, 3)),
-        RhsTerm(Fraction(1, 3), "D_sieve", (8, 7)),
-        RhsTerm(Fraction(-1, 4), "psi", (4,)),
-    )),
+    IdentitySpec(0, 8, _G256, ((Fraction(1, 4), 4, 1), (Fraction(1, 3), 8, 3),
+                               (Fraction(1, 2), 8, 7)), (Fraction(1, 4), 4)),
+    IdentitySpec(1, 8, _G256_G1, ((Fraction(1, 6), 2, 1),), (Fraction(1, 6), 2)),
+    IdentitySpec(2, 8, _G256, ((Fraction(5, 12), 4, 1), (Fraction(1, 4), 4, 3)), None),
+    IdentitySpec(3, 8, _G256_G1, ((Fraction(1, 6), 2, 1),), (Fraction(-1, 6), 2)),
+    IdentitySpec(4, 8, _G256, ((Fraction(1, 4), 4, 1), (Fraction(1, 2), 8, 3),
+                               (Fraction(1, 3), 8, 7)), (Fraction(-1, 4), 4)),
 )
 
 
@@ -232,20 +186,13 @@ def identity_lhs(spec: IdentitySpec, precision: int) -> QSeries:
 
 def identity_rhs(spec: IdentitySpec, precision: int) -> QSeries:
     """Right side of an identity, to the requested precision."""
+    d = d_series(precision)
     total = QSeries.zero(precision)
-    for term in spec.rhs:
-        if term.kind == "D_sieve":
-            series = d_series(precision).sieve(*term.params)
-        elif term.kind == "D_principal":
-            series = d_series(precision).twist(
-                DirichletCharacter.principal(term.params[0])
-            )
-        elif term.kind == "psi":
-            k = term.params[0]
-            series = psi_series(k, CHI_MINUS3 if k == 3 else CHI_MINUS4, precision)
-        else:
-            raise ValueError(f"unknown rhs term kind {term.kind!r}")
-        total = total + term.coeff * series
+    for coeff, modulus, residue in spec.d_terms:
+        total = total + coeff * d.sieve(modulus, residue)
+    if spec.cm is not None:
+        coeff, k = spec.cm
+        total = total + coeff * psi_series(k, CM_CHARACTER[k], precision)
     return total
 
 

@@ -15,7 +15,9 @@ from hclassnum.formulas import (
     h_formula,
 )
 from hclassnum.hurwitz import moment_sum
-from hclassnum.numtheory import CHI_MINUS3, CHI_MINUS4, primes_up_to
+from hclassnum.numtheory import CHI_MINUS3, CHI_MINUS4, primes_up_to, represent
+from hclassnum.sums import lambda_u4_twist
+from hclassnum.verify import MOD6_IDENTITIES, MOD8_IDENTITIES
 
 
 def test_mod6_pinned_values():
@@ -113,6 +115,51 @@ def test_each_residue_and_prime_class_is_served_by_one_row():
                 serving = [row.label for row in rows
                            if m in row.residues and r in row.prime_classes]
                 assert len(serving) == 1, (M, m, r, serving)
+
+
+def test_case_rows_follow_from_the_identities():
+    """Every row of CASE_ROWS is the coefficient of q^p in one identity.
+
+    At a prime p that does not divide M, the identity for H_{m,M} reads
+    H_{m,M}(p) + Lambda(p)/2 = alpha*(p + 1) + cm_coeff*psi_k[p], where
+    alpha sums the coeff of each d_term with p = residue (mod modulus).
+    Lambda is the lambda_u4_twist(1, m, M) term; at a prime only d = 1 is a
+    divisor below sqrt(p), and T vanishes off the squares, so Lambda is one
+    constant on each class of p (checked below 193 as well).  psi_k[p] is
+    2*chi(x)*x when p = x^2 + k*y^2 and 0 otherwise, which
+    tests/test_forms.py:test_psi_at_primes_is_the_hecke_character checks.
+    Every sieve modulus and prime-class modulus divides 24, so a class of p
+    mod 24 fixes both the sieves and the row; through H_{m,M} = H_{-m,M}
+    the identities cover every residue m mod M.
+    """
+    primes = primes_up_to(192)
+    served = set()
+    for spec in MOD6_IDENTITIES + MOD8_IDENTITIES:
+        M = spec.modulus
+        lam = lambda_u4_twist(1, spec.m, M, 193)
+        for c in range(24):
+            in_class = [p for p in primes if p % 24 == c and p >= FIRST_PRIME[M]]
+            if not in_class:
+                continue
+            assert {lam[p] for p in in_class} == {lam[in_class[0]]}, (spec.name, c)
+            alpha = sum((coeff for coeff, modulus, residue in spec.d_terms
+                         if (c - residue) % modulus == 0), Fraction(0))
+            beta = alpha - lam[in_class[0]] / 2
+            for m in {spec.m % M, -spec.m % M}:
+                row = formulas._ROW_AT[M, formulas._fold(m, M),
+                                       c % formulas._PRIME_CLASS_MODULUS[M]]
+                served.add(row)
+                a, b, d = row.linear
+                assert (Fraction(a, d), Fraction(b, d)) == (alpha, beta), (spec.name, m, c)
+                if spec.cm is None:
+                    assert row.chi_coeff == 0, (spec.name, m, c)
+                elif row.form is not None:
+                    assert (row.chi_coeff, row.form) == (2 * spec.cm[0], spec.cm[1]), \
+                        (spec.name, m, c)
+                else:
+                    assert all(represent(p, spec.cm[1]) is None for p in in_class), \
+                        (spec.name, m, c)
+    assert served == set(CASE_ROWS[6] + CASE_ROWS[8])
 
 
 def test_branch_labels_keep_their_printed_order():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hclassnum import verify
+from hclassnum.forms import d_series
 from hclassnum.formulas import cross_check
 from hclassnum.numtheory import DirichletCharacter, primes_up_to
 from hclassnum.sums import lambda_u4_twist
@@ -13,7 +14,6 @@ from hclassnum.verify import (
     MOD6_IDENTITIES,
     MOD8_IDENTITIES,
     GroupSpec,
-    RhsTerm,
     group_index,
     identity_lhs,
     identity_rhs,
@@ -51,7 +51,6 @@ def test_group_spec_validates():
         GroupSpec(12, 5)
     with pytest.raises(ValueError):
         GroupSpec(0)
-    assert GroupSpec(12, 4).label() == "Gamma0(12)&Gamma1(4)"
 
 
 def test_mod6_reports():
@@ -84,16 +83,15 @@ def test_both_lhs_pipelines_agree(spec):
 
 def test_mod8_odd_cases_differ_only_in_cm_sign():
     one, three = MOD8_IDENTITIES[1], MOD8_IDENTITIES[3]
-    assert one.rhs[0] == three.rhs[0]  # shared divisor-sum term
-    assert one.rhs[1].kind == three.rhs[1].kind == "psi"
-    assert one.rhs[1].coeff == -three.rhs[1].coeff
+    assert one.d_terms == three.d_terms  # shared divisor-sum term
+    assert one.cm[1] == three.cm[1] == 2
+    assert one.cm[0] == -three.cm[0]
 
 
 def test_perturbed_constant_flips_the_verdict():
     spec = MOD6_IDENTITIES[0]
-    bad_terms = (spec.rhs[0], spec.rhs[1],
-                 RhsTerm(Fraction(1, 5), "psi", (3,)))  # 1/6 -> 1/5
-    bad = replace(spec, rhs=bad_terms)
+    assert spec.cm == (Fraction(1, 6), 3)
+    bad = replace(spec, cm=(Fraction(1, 5), 3))  # 1/6 -> 1/5
     report = verify_identity(bad, overshoot=1)
     assert not report.verdict
     assert report.mismatches
@@ -156,8 +154,17 @@ def test_sweep_reports_match_the_pinned_json():
     assert verify_classical(2000).to_dict() == pinned["verify_classical(2000)"]
 
 
-def test_identity_rhs_rejects_unknown_term():
-    spec = replace(MOD6_IDENTITIES[0],
-                   rhs=(RhsTerm(Fraction(1), "mystery", ()),))
-    with pytest.raises(ValueError):
-        identity_rhs(spec, 10)
+def test_identity_rhs_builds_one_divisor_sum(monkeypatch):
+    """Every sieved D term of a right side reads the same d_series."""
+    calls = []
+
+    def counted(precision):
+        calls.append(precision)
+        return d_series(precision)
+
+    monkeypatch.setattr(verify, "d_series", counted)
+    for spec in MOD6_IDENTITIES + MOD8_IDENTITIES:
+        calls.clear()
+        identity_rhs(spec, 97)
+        assert calls == [97], spec.name
+
