@@ -35,6 +35,12 @@ verify_lemmas checks it against the literal pipeline lambda_series | U_4
     M = 8, m = 0:     2^(l+1) * G_{l,1,4} | S_{8,7}
     M = 8, m = 4:     2^(l+1) * G_{l,1,4} | S_{8,3}
     M = 8, m = 2, 6:  2^l * G_{l,1,4} | S_{4,1} + 2^(l-1) * T_{l,1,4}
+
+For mu, verify_lemmas compares all M^2 residue pairs (a, b) at once, one
+row per n from each of two private sweeps: _mu_literal_rows bins one
+factorization sweep of 4n = d*e by (t, s) mod M, and _mu_closed_rows bins
+one divisor sweep by d mod M/2 and applies mu_closed's rule to each row.
+The scalar mu_coeff and mu_closed are the tests' oracle for those rows.
 """
 from __future__ import annotations
 
@@ -115,6 +121,58 @@ def mu_closed(ell: int, a: int, b: int, M: int, n: int) -> int:
     return 2**ell * sum(
         d**ell for d in divisors(n) if d * d < n and d % half == target
     )
+
+
+def _mu_literal_rows(ell: int, M: int, n_max: int) -> list[list[int]]:
+    """mu_coeff for every (a, b) and n <= n_max, from one factorization sweep.
+
+    rows[n][a*M + b] = mu_{ell,a,b,M}(n); rows[0] is zero.  4n = d*e with
+    d < e of the same parity forces both even, so the sweep runs over
+    n = d1*e1 with d1 < e1, where d = 2*d1, s = e1 - d1 and t = e1 + d1.
+    """
+    rows = [[0] * (M * M) for _ in range(n_max + 1)]
+    d1 = 1
+    while d1 * (d1 + 1) <= n_max:
+        dl = (2 * d1) ** ell
+        for e1 in range(d1 + 1, n_max // d1 + 1):
+            rows[d1 * e1][(e1 + d1) % M * M + (e1 - d1) % M] += dl
+        d1 += 1
+    return rows
+
+
+def _mu_closed_rows(ell: int, M: int, n_max: int) -> list[list[int]]:
+    """mu_closed for every (a, b) and n <= n_max, from one divisor sweep.
+
+    Same layout as _mu_literal_rows, for even M.  Each divisor d | n with
+    d < sqrt(n) adds d^ell into the bin (n, d mod M/2); row (a, b) of n is
+    then mu_closed's rule applied to the bin of (a1 - b1) mod M/2.  The rows
+    equal mu_closed only where it is defined, at n coprime to M.
+    """
+    half = M // 2  # 2^(e-1) * M1
+    residue_mod = half if M % 4 else M  # 2^f * M1
+    bins = [[0] * half for _ in range(n_max + 1)]
+    d = 1
+    while d * (d + 1) <= n_max:
+        dl = d**ell
+        r = d % half
+        for n in range(d * (d + 1), n_max + 1, d):
+            bins[n][r] += dl
+        d += 1
+    # the (row index, bin) pairs live for each class of n mod 2^f * M1
+    live: list[list[tuple[int, int]]] = [[] for _ in range(residue_mod)]
+    for a1 in range(half):
+        for b1 in range(half):
+            cell = (2 * a1 * M + 2 * b1, (a1 - b1) % half)
+            live[(a1 * a1 - b1 * b1) % residue_mod].append(cell)
+    two_l = 2**ell
+    rows = []
+    for n in range(n_max + 1):
+        row = [0] * (M * M)
+        bin_n = bins[n]
+        for index, r in live[n % residue_mod]:
+            row[index] = two_l * bin_n[r]
+        rows.append(row)
+    return rows
 
 
 def lambda_series(ell: int, m: int, M: int, precision: int) -> QSeries:

@@ -28,9 +28,12 @@ M = 6; m = 1, 3 for M = 8) the bound is recomputed from that larger index
 rather than reusing the Gamma_0 bound; conservative costs nothing here.
 
 verify_lemmas exercises the lattice-sum layer itself: the literal mu and
-Lambda scans against their divisor-sum closed forms.  verify_classical
-covers the two classical regressions (the full class-number sum equal to
-2p, and the 3-case evaluation of H_{0,5}(p)).
+Lambda sums against their divisor-sum closed forms.  For mu it runs one
+factorization sweep (the literal side) and one divisor sweep (the closed
+side) per (M, ell), each giving a row of all M^2 residue pairs per n, and
+compares the rows.  verify_classical covers the two classical regressions
+(the full class-number sum equal to 2p, and the 3-case evaluation of
+H_{0,5}(p)).
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from .hurwitz import _residue_sums12, hurwitz_series, table_at_least
 from .numtheory import DirichletCharacter, euler_phi, prime_factors, primes_up_to
 from .qseries import QSeries
 from .reporting import CheckReport
-from .sums import lambda_series, lambda_u4_twist, mu_closed, mu_coeff
+from .sums import _mu_closed_rows, _mu_literal_rows, lambda_series, lambda_u4_twist
 
 __all__ = [
     "GroupSpec",
@@ -230,10 +233,13 @@ def verify_mod8(overshoot: int = 4) -> list[IdentityReport]:
 def verify_lemmas(n_max: int = 600) -> CheckReport:
     """Literal lattice sums against their closed forms, for M = 6 and 8.
 
-    Two families: the twisted U_4 image of Lambda_{ell,m,M} for every
-    residue m and ell in {0, 1, 3}, compared coefficientwise to n_max; and
-    mu_{ell,a,b,M}(n) for every residue pair against the divisor-sum
-    evaluation, for every n <= n_max coprime to M.
+    Two families, for ell in {0, 1, 3}: the twisted U_4 image of
+    Lambda_{ell,m,M} for every residue m, compared coefficientwise to n_max;
+    and mu_{ell,a,b,M}(n) for every residue pair (a, b) against its
+    divisor-sum evaluation, for every n <= n_max coprime to M.  The mu family
+    takes one factorization sweep and one divisor sweep per (M, ell), each
+    binning all M^2 pairs of every n into one row, and compares the rows;
+    each (a, b, n) counts as one check.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -259,16 +265,20 @@ def verify_lemmas(n_max: int = 600) -> CheckReport:
                     )
     for M in (6, 8):
         for ell in (0, 1, 3):
+            literal_rows = _mu_literal_rows(ell, M, n_max)
+            closed_rows = _mu_closed_rows(ell, M, n_max)
             for n in range(1, n_max + 1):
                 if gcd(n, M) != 1:
                     continue
-                for a in range(M):
-                    for b in range(M):
-                        checked += 1
-                        lit = mu_coeff(ell, a, b, M, n)
-                        clo = mu_closed(ell, a, b, M, n)
-                        if lit != clo:
-                            mismatches.append(("mu", M, ell, a, b, n, lit, clo))
+                checked += M * M
+                literal, closed = literal_rows[n], closed_rows[n]
+                if literal != closed:
+                    mismatches.extend(
+                        ("mu", M, ell, i // M, i % M, n, lit, clo)
+                        for i, (lit, clo) in enumerate(zip(literal, closed))
+                        if lit != clo
+                    )
+            del literal_rows, closed_rows  # one pair of tables alive at a time
     return CheckReport(
         name="lattice-sum lemmas (M=6,8)",
         checked=checked,

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from hclassnum.numtheory import DirichletCharacter
 from hclassnum.qseries import QSeries
 from hclassnum.sums import (
+    _mu_closed_rows,
+    _mu_literal_rows,
     g_series,
     lambda_series,
     lambda_u4_twist,
@@ -51,6 +53,22 @@ def test_mu_closed_form_matches_literal():
                         assert mu_coeff(ell, a, b, M, n) == mu_closed(
                             ell, a, b, M, n
                         ), (M, ell, a, b, n)
+
+
+@pytest.mark.parametrize("M", (6, 8))
+@pytest.mark.parametrize("ell", (0, 1, 3))
+def test_mu_rows_match_the_scalar_sums(ell, M):
+    # the scalar functions are the oracle for the binned sweeps of verify_lemmas
+    literal = _mu_literal_rows(ell, M, 200)
+    closed = _mu_closed_rows(ell, M, 200)
+    assert len(literal) == len(closed) == 201
+    for n in range(1, 201):
+        assert len(literal[n]) == len(closed[n]) == M * M
+        for a in range(M):
+            for b in range(M):
+                assert literal[n][a * M + b] == mu_coeff(ell, a, b, M, n), (a, b, n)
+                if gcd(n, M) == 1:
+                    assert closed[n][a * M + b] == mu_closed(ell, a, b, M, n), (a, b, n)
 
 
 def test_mu_closed_rejects_bad_arguments():

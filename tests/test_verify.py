@@ -9,7 +9,7 @@ from hclassnum import verify
 from hclassnum.forms import d_series
 from hclassnum.formulas import cross_check
 from hclassnum.numtheory import DirichletCharacter, primes_up_to
-from hclassnum.sums import lambda_u4_twist
+from hclassnum.sums import lambda_u4_twist, mu_closed, mu_coeff
 from hclassnum.verify import (
     MOD6_IDENTITIES,
     MOD8_IDENTITIES,
@@ -115,7 +115,25 @@ def test_overshoot_validation():
 def test_verify_lemmas_small():
     report = verify_lemmas(150)
     assert report.verdict, report.mismatches[:5]
-    assert report.checked > 0
+    # Lambda: 2 * 3 * (6 + 8) * 150 coefficients; mu: 3 * (6^2 * 50 + 8^2 * 75)
+    assert report.checked == 26_100
+
+
+def test_verify_lemmas_reports_a_wrong_mu_value(monkeypatch):
+    closed_rows = verify._mu_closed_rows
+
+    def off_by_one(ell, M, n_max):
+        rows = closed_rows(ell, M, n_max)
+        if (ell, M) == (1, 8):
+            rows[105][6 * M] += 1  # (a, b) = (6, 0) at n = 105, where mu = 20
+        return rows
+
+    monkeypatch.setattr(verify, "_mu_closed_rows", off_by_one)
+    report = verify_lemmas(150)
+    assert not report.verdict
+    assert mu_coeff(1, 6, 0, 8, 105) == mu_closed(1, 6, 0, 8, 105) == 20
+    assert report.mismatches == [("mu", 8, 1, 6, 0, 105, 20, 21)]
+    assert report.checked == 26_100
 
 
 def test_verify_classical():
