@@ -5,22 +5,23 @@ eleven for M = 8.  A row holds its printed label, the folded residues m it
 serves, the prime classes it serves (p mod 3 for M = 6, p mod 8 for M = 8),
 a linear part (a*p + b)/c, the coefficient of the square-root-size term
 chi(x)*x, and the form n of the representation p = x^2 + n*y^2 that supplies
-x (None when the row reads no representation).  h_formula reduces m mod M,
-folds it through H_{m,M} = H_{-m,M}, and evaluates the one row that serves
-(m, p).
+x (None when the row reads no representation).  At import the rows are laid
+out per prime class r: _ROWS[M, r][m] is the one row serving residue m mod M
+at primes of class r, with H_{m,M} = H_{-m,M} folded in.  _cells(M, p)
+evaluates the rows of p's class for every m at once, calling represent once
+for each form they read; h_formula returns its cell m mod M.
 
 Values are exact rationals; thirds and halves are legitimate because class
 numbers carry them.  cross_check checks every (prime, residue) pair against
 the brute-force t-scan and reports which table rows fired.  It works one
 prime at a time and in integers: the primes come from the sieve, so
-primality is not tested again; all M residues go through the evaluator
-behind h_formula with one cache, so represent runs once per form; one
-gather gives all M brute-force sums as the integers 12*H_{m,M}(p); and a
-row's value is an integer numerator over its denominator c*d, so a cell
-holds when 12 * numerator = 12*H_{m,M}(p) * c*d.  Fractions are built only
-for a mismatch and for the first prime where each row fires, where that
-cell is also computed by the scalar paths h_formula and moment_sum, which
-must agree with the batched ones.
+primality is not tested again; one _cells call per prime gives all M
+closed-form values; one gather gives all M brute-force sums as the integers
+12*H_{m,M}(p); and a row's value is an integer numerator over its
+denominator c*d, so a cell holds when 12 * numerator = 12*H_{m,M}(p) * c*d.
+Fractions are built only for a mismatch and for the first prime where each
+row fires, where that cell is also computed by the scalar paths h_formula
+and moment_sum, which must agree with the batched ones.
 """
 from __future__ import annotations
 
@@ -103,14 +104,15 @@ FIRST_PRIME = {6: 5, 8: 3}
 # the prime classes of a row are residues of p modulo this
 _PRIME_CLASS_MODULUS = {6: 3, 8: 8}
 
-_ROW_AT = {(M, m, r): row for M, rows in CASE_ROWS.items() for row in rows
-           for m in row.residues for r in row.prime_classes}
-
-
-def _fold(m: int, M: int) -> int:
-    """Reduce mod M and fold through m <-> M - m (H_{m,M} = H_{-m,M})."""
-    r = m % M
-    return min(r, M - r) if r else 0
+# _ROWS[M, r][m]: the row serving residue m mod M at primes of class r,
+# folded through H_{m,M} = H_{-m,M}
+_ROWS: dict[tuple[int, int], tuple[CaseRow, ...]] = {
+    (M, r): tuple(next(row for row in rows
+                       if min(m, M - m) in row.residues and r in row.prime_classes)
+                  for m in range(M))
+    for M, rows in CASE_ROWS.items()
+    for r in sorted({r for row in rows for r in row.prime_classes})
+}
 
 
 def h_formula(M: int, p: int, m: int) -> FormulaResult:
@@ -124,32 +126,31 @@ def h_formula(M: int, p: int, m: int) -> FormulaResult:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
     if p < FIRST_PRIME[M] or not is_prime(p):
         raise ValueError(f"H_(m,{M})(p) needs a prime p >= {FIRST_PRIME[M]}")
-    row, rep, num, den = _row_value(M, p, m, {})
+    row, rep, num, den = _cells(M, p)[m % M]
     return FormulaResult(p=p, m=m, M=M, value=Fraction(num, den),
                          branch=row.label, representation=rep)
 
 
-def _row_value(M: int, p: int, m: int, reps: dict[int, tuple[PrimeRepresentation, int]]
-               ) -> tuple[CaseRow, PrimeRepresentation | None, int, int]:
-    """The row serving (m, p), its representation, and H_{m,M}(p) as an
-    integer numerator over the row's denominator c*d.
+def _cells(M: int, p: int) -> list[tuple[CaseRow, PrimeRepresentation | None, int, int]]:
+    """For each m in range(M): the row serving (m, p), its representation,
+    and H_{m,M}(p) as an integer numerator over the row's denominator c*d.
 
-    p must already be known to be a prime that h_formula accepts.  reps
-    belongs to this one p and maps each form n to represent(p, n) and
-    chi(x)*x; it is filled on first use, so residues that read the same
-    form share one representation.
+    p must already be known to be a prime that h_formula accepts.  represent
+    runs once for each form that the rows of p's class read.
     """
-    row = _ROW_AT[M, _fold(m, M), p % _PRIME_CLASS_MODULUS[M]]
-    rep, chi_x = None, 0
-    if row.form is not None:
-        if row.form not in reps:
-            found = represent(p, row.form)
-            reps[row.form] = found, CM_CHARACTER[row.form](found.x) * found.x
-        rep, chi_x = reps[row.form]
-    # (a*p + b)/c + (k/d)*chi(x)*x over the common denominator c*d
-    a, b, c = row.linear
-    k, d = row.chi_coeff.numerator, row.chi_coeff.denominator
-    return row, rep, (a * p + b) * d + c * k * chi_x, c * d
+    rows = _ROWS[M, p % _PRIME_CLASS_MODULUS[M]]
+    reps: dict[int, tuple[PrimeRepresentation, int]] = {}
+    for n in {row.form for row in rows if row.form is not None}:
+        found = represent(p, n)
+        reps[n] = found, CM_CHARACTER[n](found.x) * found.x
+    cells = []
+    for row in rows:
+        rep, chi_x = reps.get(row.form, (None, 0))
+        # (a*p + b)/c + (k/d)*chi(x)*x over the common denominator c*d
+        a, b, c = row.linear
+        k, d = row.chi_coeff.numerator, row.chi_coeff.denominator
+        cells.append((row, rep, (a * p + b) * d + c * k * chi_x, c * d))
+    return cells
 
 
 def cross_check(M: int, p_max: int) -> CheckReport:
@@ -168,10 +169,9 @@ def cross_check(M: int, p_max: int) -> CheckReport:
     for p in primes_up_to(p_max):
         if p < p_min:
             continue
-        reps: dict[int, tuple[PrimeRepresentation, int]] = {}
-        for m, brute12 in enumerate(_residue_sums12(M, p, values12)):
+        cells = zip(_cells(M, p), _residue_sums12(M, p, values12))
+        for m, ((row, rep, num, den), brute12) in enumerate(cells):
             checked += 1
-            row, rep, num, den = _row_value(M, p, m, reps)
             if 12 * num != brute12 * den:
                 mismatches.append((p, m, Fraction(num, den), Fraction(brute12, 12),
                                    row.label))

@@ -151,6 +151,8 @@ def hurwitz(n: int) -> Fraction:
 
 def hurwitz_series(precision: int) -> QSeries:
     """Generating series sum H(n) q^n to the requested precision."""
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
     table = table_at_least(precision)
     return QSeries._from_numerators(table.values12[:precision], 12)
 

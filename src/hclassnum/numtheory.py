@@ -152,52 +152,42 @@ def kronecker_symbol(a: int, b: int) -> int:
 class DirichletCharacter:
     """A real Dirichlet character with values in {-1, 0, 1}.
 
-    kind is one of:
-      * "principal": 1 on residues coprime to the modulus, 0 elsewhere;
-      * "kronecker": n -> kronecker_symbol(disc, n) on residues coprime to
-        the modulus, for disc = 0, 1 (mod 4), disc != 0, so that the symbol
-        is periodic with period |disc| (e.g. -3, -4, 8).
+    n -> kronecker_symbol(disc, n) on residues coprime to the modulus and 0
+    elsewhere, for disc = 0, 1 (mod 4), disc != 0, so that the symbol is
+    periodic with period |disc| (e.g. -3, -4, 8).  disc = 1 is the
+    principal character, since kronecker_symbol(1, n) = 1 for n != 0.
 
     Calling the character returns its value as an int; residue_values gives
     the values over one period.
     """
 
     modulus: int
-    kind: str
-    disc: int | None = None
+    disc: int = 1
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
-        if self.kind not in ("principal", "kronecker"):
-            raise ValueError(f"unknown character kind {self.kind!r}")
-        if self.kind == "kronecker":
-            if not self.disc:
-                raise ValueError("kronecker kind needs a nonzero discriminant")
-            if self.disc % 4 not in (0, 1):
-                raise ValueError("kronecker discriminant must be 0 or 1 mod 4")
+        if not self.disc:
+            raise ValueError("a character needs a nonzero discriminant")
+        if self.disc % 4 not in (0, 1):
+            raise ValueError("kronecker discriminant must be 0 or 1 mod 4")
 
     @classmethod
     def principal(cls, modulus: int) -> "DirichletCharacter":
-        return cls(modulus=modulus, kind="principal")
+        return cls(modulus=modulus)
 
     @classmethod
     def from_kronecker(cls, disc: int, modulus: int | None = None) -> "DirichletCharacter":
-        return cls(modulus=abs(disc) if modulus is None else modulus,
-                   kind="kronecker", disc=disc)
+        return cls(modulus=abs(disc) if modulus is None else modulus, disc=disc)
 
     @property
     def period(self) -> int:
         """A period of n -> chi(n) on the integers."""
-        if self.kind == "kronecker":
-            return lcm(self.modulus, abs(self.disc))
-        return self.modulus
+        return lcm(self.modulus, abs(self.disc))
 
     def __call__(self, n: int) -> int:
         if gcd(n, self.modulus) != 1:
             return 0
-        if self.kind == "principal":
-            return 1
         return kronecker_symbol(self.disc, n)
 
     def residue_values(self) -> tuple[int, ...]:

@@ -25,6 +25,9 @@ vanishes for odd m and otherwise, writing m = 2*m1, equals
           G_{l,m1-b1,2^(e-1)M1} | S_{2^f M1, m1^2-b1^2} | S_{2,1}
     + 2^(l-1) * T_{l,m1,2^(e-1)M1} (x) chi_{M,0}.
 
+The sieve modulus 2^f * M1 is M when 4 | M and M/2 otherwise;
+_sieve_modulus decides it for lambda_u4_twist, mu_closed and _mu_closed_rows.
+
 lambda_u4_twist assembles exactly this sum for every even M, and
 verify_lemmas checks it against the literal pipeline lambda_series | U_4
 (x) chi_{M,0}.  For the paper's moduli it specialises to these case rows
@@ -61,9 +64,19 @@ __all__ = [
 ]
 
 
-def _ell_modulus_error(ell: int) -> ValueError:
-    """The error for ell < 0 or M < 1, ell checked first."""
-    return ValueError("ell must be nonnegative" if ell < 0 else "modulus must be positive")
+def _check(ell: int, M: int, precision: int = 1) -> None:
+    """Reject ell < 0, then M < 1, then precision < 1."""
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    if M < 1:
+        raise ValueError("modulus must be positive")
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+
+
+def _sieve_modulus(M: int) -> int:
+    """2^f * M1 for even M = 2^e * M1: M when 4 | M, M // 2 otherwise."""
+    return M if M % 4 == 0 else M // 2
 
 
 def _branch_weight(t: int, m: int, M: int) -> int:
@@ -73,8 +86,7 @@ def _branch_weight(t: int, m: int, M: int) -> int:
 
 def mu_coeff(ell: int, a: int, b: int, M: int, n: int) -> int:
     """mu_{ell,a,b,M}(n): literal scan over t > s >= 1 with t^2 - s^2 = 4n."""
-    if ell < 0 or M < 1:
-        raise _ell_modulus_error(ell)
+    _check(ell, M)
     if n < 1:
         raise ValueError("n must be >= 1")
     four_n = 4 * n
@@ -102,20 +114,16 @@ def mu_closed(ell: int, a: int, b: int, M: int, n: int) -> int:
     d | n with d < sqrt(n) and d = a1 - b1 (mod 2^(e-1) M1), provided
     n = a1^2 - b1^2 (mod 2^f M1), and zero otherwise.
     """
-    if ell < 0 or M < 1:
-        raise _ell_modulus_error(ell)
+    _check(ell, M)
     if M % 2:
         raise ValueError("closed form requires even modulus")
     if gcd(n, M) != 1:
         raise ValueError("closed form requires gcd(n, M) = 1")
     if a % 2 or b % 2:
         return 0
-    e = (M & -M).bit_length() - 1
-    m1_mod = M >> e  # the odd part M1
-    f = 0 if e == 1 else e
     half = M // 2  # 2^(e-1) * M1
     a1, b1 = a // 2, b // 2
-    if (n - (a1 * a1 - b1 * b1)) % (2**f * m1_mod):
+    if (n - (a1 * a1 - b1 * b1)) % _sieve_modulus(M):
         return 0
     target = (a1 - b1) % half
     return 2**ell * sum(
@@ -149,7 +157,7 @@ def _mu_closed_rows(ell: int, M: int, n_max: int) -> list[list[int]]:
     equal mu_closed only where it is defined, at n coprime to M.
     """
     half = M // 2  # 2^(e-1) * M1
-    residue_mod = half if M % 4 else M  # 2^f * M1
+    residue_mod = _sieve_modulus(M)
     bins = [[0] * half for _ in range(n_max + 1)]
     d = 1
     while d * (d + 1) <= n_max:
@@ -177,10 +185,7 @@ def _mu_closed_rows(ell: int, M: int, n_max: int) -> list[list[int]]:
 
 def lambda_series(ell: int, m: int, M: int, precision: int) -> QSeries:
     """sum_n lambda_{ell,m,M}(n) q^n, by sweeping factorizations n = d*e."""
-    if ell < 0 or M < 1:
-        raise _ell_modulus_error(ell)
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
+    _check(ell, M, precision)
     num2 = [0] * precision  # accumulate 2*lambda to stay integral
     d = 1
     while d * d < precision:
@@ -194,35 +199,27 @@ def lambda_series(ell: int, m: int, M: int, precision: int) -> QSeries:
 
 
 def mu_series(ell: int, a: int, b: int, M: int, precision: int) -> QSeries:
-    """sum_n mu_{ell,a,b,M}(n) q^n."""
-    if ell < 0 or M < 1:
-        raise _ell_modulus_error(ell)
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
+    """sum_n mu_{ell,a,b,M}(n) q^n, over n = d1*e1 as in _mu_literal_rows.
+
+    t - s = 2*d1 pins d1 to one class mod M, and t = e1 + d1 then pins e1.
+    """
+    _check(ell, M, precision)
     coeffs = [0] * precision
-    d = 1
-    while d * (d + 2) < 4 * precision:
-        for e in range(d + 2, (4 * precision - 1) // d + 1, 2):
-            de = d * e
-            if de % 4:
-                continue  # d, e both odd: t, s not integral
-            n = de // 4
-            if n >= precision:
-                break
-            t = (e + d) // 2
-            s = (e - d) // 2
-            if (t - a) % M == 0 and (s - b) % M == 0:
-                coeffs[n] += d**ell
-        d += 1
+    d1 = 1
+    while d1 * (d1 + 1) < precision:
+        if (2 * d1 - (a - b)) % M == 0:  # t - s = 2*d1 = a - b (mod M)
+            # the least e1 > d1 with t = e1 + d1 = a (mod M), then every M-th
+            e1 = d1 + 1 + (a - 2 * d1 - 1) % M
+            dl = (2 * d1) ** ell
+            for n in range(d1 * e1, precision, d1 * M):
+                coeffs[n] += dl
+        d1 += 1
     return QSeries._from_numerators(coeffs)
 
 
 def g_series(ell: int, m: int, M: int, precision: int) -> QSeries:
     """sum_n g_{ell,m,M}(n) q^n with the strict-divisor constraint d < sqrt(n)."""
-    if ell < 0 or M < 1:
-        raise _ell_modulus_error(ell)
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
+    _check(ell, M, precision)
     coeffs = [0] * precision
     d = 1
     while d * (d + 1) < precision:
@@ -237,10 +234,7 @@ def g_series(ell: int, m: int, M: int, precision: int) -> QSeries:
 
 def t_series(ell: int, m: int, M: int, precision: int) -> QSeries:
     """Theta-like moment series: n^ell at exponent n^2 for n = +-m (mod M)."""
-    if ell < 0 or M < 1:
-        raise _ell_modulus_error(ell)
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
+    _check(ell, M, precision)
     coeffs = [0] * precision
     for n in range(1, isqrt(precision - 1) + 1):
         w = _branch_weight(n, m, M)
@@ -256,15 +250,11 @@ def lambda_u4_twist(ell: int, m: int, M: int, precision: int) -> QSeries:
     zero for odd m, otherwise sieved G series plus one twisted T series.
     Odd M is rejected.
     """
-    if ell < 0 or M < 1:
-        raise _ell_modulus_error(ell)
+    _check(ell, M, precision)
     if M % 2:
         raise ValueError("modulus must be even")
     if m % 2:
         return QSeries.zero(precision)
-    e = (M & -M).bit_length() - 1
-    m1_part = M >> e
-    f = 0 if e == 1 else e
     half = M // 2  # 2^(e-1) * M1
     m1 = (m % M) // 2
     total = QSeries.zero(precision)
@@ -279,7 +269,7 @@ def lambda_u4_twist(ell: int, m: int, M: int, precision: int) -> QSeries:
         r = min((m1 - b1) % half, (b1 - m1) % half)
         if r not in g_by_class:
             g_by_class[r] = g_series(ell, r, half, precision)
-        part = g_by_class[r].sieve(2**f * m1_part, residue).sieve(2, 1)
+        part = g_by_class[r].sieve(_sieve_modulus(M), residue).sieve(2, 1)
         total = total + two_l * part
     tpart = t_series(ell, m1, half, precision).twist(
         DirichletCharacter.principal(M)

@@ -109,12 +109,29 @@ def test_cross_check_small_range(M):
 
 def test_each_residue_and_prime_class_is_served_by_one_row():
     prime_classes = {6: (1, 2), 8: (1, 3, 5, 7)}
+    assert set(formulas._ROWS) == {(M, r) for M in prime_classes for r in prime_classes[M]}
     for M, rows in CASE_ROWS.items():
-        for m in range(M // 2 + 1):
+        for m in range(M):
             for r in prime_classes[M]:
-                serving = [row.label for row in rows
-                           if m in row.residues and r in row.prime_classes]
+                serving = [row for row in rows
+                           if min(m, M - m) in row.residues and r in row.prime_classes]
                 assert len(serving) == 1, (M, m, r, serving)
+                assert formulas._ROWS[M, r][m] is serving[0], (M, m, r)
+
+
+@pytest.mark.parametrize("M,p,forms", [(8, 17, [2, 4]), (8, 13, [4]), (8, 11, [2]),
+                                       (8, 7, []), (6, 7, [3]), (6, 5, [])])
+def test_cells_represent_each_form_of_the_class_once(M, p, forms, monkeypatch):
+    calls = []
+
+    def counting_represent(q, n):
+        calls.append((q, n))
+        return represent(q, n)
+
+    monkeypatch.setattr(formulas, "represent", counting_represent)
+    cells = formulas._cells(M, p)
+    assert sorted(calls) == [(p, n) for n in forms]
+    assert [row for row, *_ in cells] == list(formulas._ROWS[M, p % formulas._PRIME_CLASS_MODULUS[M]])
 
 
 def test_case_rows_follow_from_the_identities():
@@ -146,8 +163,7 @@ def test_case_rows_follow_from_the_identities():
                          if (c - residue) % modulus == 0), Fraction(0))
             beta = alpha - lam[in_class[0]] / 2
             for m in {spec.m % M, -spec.m % M}:
-                row = formulas._ROW_AT[M, formulas._fold(m, M),
-                                       c % formulas._PRIME_CLASS_MODULUS[M]]
+                row = formulas._ROWS[M, c % formulas._PRIME_CLASS_MODULUS[M]][m]
                 served.add(row)
                 a, b, d = row.linear
                 assert (Fraction(a, d), Fraction(b, d)) == (alpha, beta), (spec.name, m, c)
@@ -209,20 +225,6 @@ def test_cross_check_rejects_other_moduli():
         cross_check(5, 100)
 
 
-def test_evaluator_with_a_shared_cache_matches_h_formula():
-    # cross_check's path: one cache per prime, shared by every residue
-    for p in primes_up_to(2 * 10**4):
-        for M in (6, 8):
-            if p < FIRST_PRIME[M]:
-                continue
-            reps = {}
-            for m in range(-M, 2 * M):
-                row, rep, num, den = formulas._row_value(M, p, m, reps)
-                result = h_formula(M, p, m)
-                assert (result.value, result.branch, result.representation) == \
-                    (Fraction(num, den), row.label, rep), (M, p, m)
-
-
 @pytest.mark.parametrize("M,checked", [(6, 13560), (8, 18088)])
 def test_cross_check_counts_every_prime_and_residue_once(M, checked):
     report = cross_check(M, 2 * 10**4)
@@ -238,9 +240,10 @@ def test_cross_check_catches_a_wrong_row(M, index, monkeypatch):
     rows = list(CASE_ROWS[M])
     rows[index] = wrong
     monkeypatch.setitem(formulas.CASE_ROWS, M, tuple(rows))
-    for key, served in formulas._ROW_AT.items():
-        if served is row:
-            monkeypatch.setitem(formulas._ROW_AT, key, wrong)
+    for key, served in formulas._ROWS.items():
+        if any(slot is row for slot in served):
+            monkeypatch.setitem(formulas._ROWS, key,
+                                tuple(wrong if slot is row else slot for slot in served))
     report = cross_check(M, 100)
     assert not report.verdict
     assert report.mismatches and {bad[-1] for bad in report.mismatches} == {row.label}

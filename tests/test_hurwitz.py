@@ -127,6 +127,14 @@ def test_series_prefix():
     assert h[7] == 1
 
 
+def test_series_rejects_precision_below_one():
+    # a grown table must not let a negative precision slice from the end
+    table_at_least(100)
+    for precision in (0, -3):
+        with pytest.raises(ValueError, match="^precision must be >= 1$"):
+            hurwitz_series(precision)
+
+
 def test_eichler_sum():
     for p in primes_up_to(500):
         assert moment_sum(0, 0, 1, p) == 2 * p

@@ -100,9 +100,15 @@ def test_lambda_series_matches_coefficients():
 
 
 def test_mu_series_matches_coefficients():
-    s = mu_series(1, 3, 1, 6, 200)
-    for n in range(1, 200):
-        assert s[n] == mu_coeff(1, 3, 1, 6, n)
+    # every residue pair, including representatives outside [0, M)
+    for M in (1, 2, 3, 5, 6, 8, 12):
+        for ell in (0, 1, 3):
+            for a in range(-1, M + 1):
+                for b in range(-1, M + 1):
+                    s = mu_series(ell, a, b, M, 120)
+                    assert s[0] == 0
+                    for n in range(1, 120):
+                        assert s[n] == mu_coeff(ell, a, b, M, n), (M, ell, a, b, n)
 
 
 def test_g_series_values():
@@ -186,20 +192,24 @@ def test_odd_modulus_rejected():
         lambda_u4_twist(1, 0, 5, 10)
 
 
-# every public lattice sum, with the ell and modulus of the call left open
+# every public lattice sum, with the ell and modulus of the call left open,
+# and the precision too for the series
 _LATTICE_SUMS = {
-    "lambda_series": lambda ell, M: lambda_series(ell, 1, M, 10),
-    "g_series": lambda ell, M: g_series(ell, 1, M, 10),
-    "t_series": lambda ell, M: t_series(ell, 1, M, 10),
-    "mu_series": lambda ell, M: mu_series(ell, 0, 4, M, 10),
+    "lambda_series": lambda ell, M, prec=10: lambda_series(ell, 1, M, prec),
+    "g_series": lambda ell, M, prec=10: g_series(ell, 1, M, prec),
+    "t_series": lambda ell, M, prec=10: t_series(ell, 1, M, prec),
+    "mu_series": lambda ell, M, prec=10: mu_series(ell, 0, 4, M, prec),
+    "lambda_u4_twist": lambda ell, M, prec=10: lambda_u4_twist(ell, 1, M, prec),
     "mu_coeff": lambda ell, M: mu_coeff(ell, 0, 4, M, 5),
     "mu_closed": lambda ell, M: mu_closed(ell, 0, 4, M, 5),
 }
+_SERIES = ("lambda_series", "g_series", "t_series", "mu_series", "lambda_u4_twist")
 
 
 @pytest.mark.parametrize("name", _LATTICE_SUMS)
 def test_lattice_sums_validate_ell_and_modulus(name):
-    # these messages are also the CLI's usage errors, ell checked first
+    # these messages are also the CLI's usage errors: ell checked first, then
+    # the modulus, then the precision
     call = _LATTICE_SUMS[name]
     for ell, M in ((-1, 6), (-1, 0)):
         with pytest.raises(ValueError, match="^ell must be nonnegative$"):
@@ -207,4 +217,10 @@ def test_lattice_sums_validate_ell_and_modulus(name):
     for M in (0, -2):
         with pytest.raises(ValueError, match="^modulus must be positive$"):
             call(1, M)
+    if name in _SERIES:
+        for ell, M, prec in ((1, 6, 0), (0, 6, -2)):
+            with pytest.raises(ValueError, match="^precision must be >= 1$"):
+                call(ell, M, prec)
+        with pytest.raises(ValueError, match="^modulus must be positive$"):
+            call(1, 0, 0)
     call(0, 6)
