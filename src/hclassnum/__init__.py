@@ -10,7 +10,7 @@ elliptic-curve counting oracle.
 from .eccount import TraceDistribution, trace_distribution, verify_curve_counts
 from .forms import d_series, e2_series, psi_series, theta0, theta_mM, theta_weighted
 from .formulas import FormulaResult, cross_check, h_formula
-from .hurwitz import HurwitzTable, build_table, hurwitz_series, moment_sum
+from .hurwitz import build_table, hurwitz_series, moment_sum
 from .numtheory import (
     CHI_MINUS3,
     CHI_MINUS4,
@@ -49,7 +49,6 @@ __all__ = [
     "DirichletCharacter",
     "FormulaResult",
     "GroupSpec",
-    "HurwitzTable",
     "IdentityReport",
     "PrimeRepresentation",
     "QSeries",

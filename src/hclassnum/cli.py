@@ -53,6 +53,11 @@ _TABLE_MAX_PMAX = (_TABLE_MAX - 1) // 4
 # takes 1.8 s and verify --suite mod6 --overshoot 260 3.6 s; both grow
 # like terms^1.5 (4.3 s and 12 s at twice the precision)
 _SERIES_MAX = 100_000
+# largest moment exponent of lattice-sum --ell; the paper and the lemma
+# suite use ell <= 3.  At --terms 10^5 and modulus 1 the slowest variant
+# (lambda) takes 0.9-1.2 s and the largest (mu) 95 MB with JSON output;
+# mu needs 123 MB at ell = 150
+_ELL_MAX = 80
 # largest coefficient range of the lemma suite (verify --pmax with --suite
 # lemmas or all): verify --suite lemmas takes 0.9 s and 22 MB at 4000, 0.5 s
 # and 19 MB at 2000
@@ -216,6 +221,8 @@ _LATTICE_SERIES = {"lambda": lambda_series, "G": g_series, "T": t_series}
 
 def _cmd_lattice_sum(args: argparse.Namespace) -> int:
     _check_terms(args.terms)
+    if args.ell > _ELL_MAX:
+        raise UsageError(f"--ell is capped at {_ELL_MAX}")
     if args.variant == "mu":
         if args.a is None or args.b is None:
             raise UsageError("the mu variant needs --a and --b")

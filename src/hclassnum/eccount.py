@@ -149,7 +149,7 @@ def verify_curve_counts(p_max: int) -> CheckReport:
     the Hasse range with p not dividing t (for these p that means t != 0),
     and the total mass sum_t N_A(p; t) is compared against p.
     """
-    values12 = table_at_least(4 * p_max + 1).values12
+    table = table_at_least(4 * p_max + 1)
     mismatches: list[tuple] = []
     checked = 0
     for p in primes_up_to(p_max):
@@ -167,7 +167,7 @@ def verify_curve_counts(p_max: int) -> CheckReport:
             if t % p == 0:
                 continue
             checked += 1
-            h12 = values12[4 * p - t * t]
+            h12 = table[4 * p - t * t]
             if 24 * counts.get(t, 0) != h12 * (p - 1):
                 mismatches.append(("trace", p, t, 2 * dist.weight(t), Fraction(h12, 12)))
     return CheckReport(

@@ -1,6 +1,8 @@
 """Constructors for the named generating series.
 
-  * theta_mM(m, M): sum of q^(n^2) over all integers n = m (mod M);
+  * theta_mM(m, M): sum of q^(n^2) over all integers n = m (mod M), read
+    off the lattice sum T_{0,m,M} of sums.t_series plus the constant term
+    1 when M | m;
   * theta0: the full theta series (theta_mM with M = 1);
   * theta_weighted(chi): (1/2) sum chi(x) x q^(x^2), the weight-3/2 theta
     attached to an odd character;
@@ -12,8 +14,8 @@
   * CM_CHARACTER: the character paired with each CM form psi_k, for k = 2,
     3, 4; the package reads chi from this map wherever it builds psi_k or
     reads chi(x)*x for the form x^2 + k*y^2;
-  * d_series: sum sigma(n) q^n;  e2_series: 1 - 24 sum sigma(n) q^n,
-    related by D = 1/24 - E2/24.
+  * d_series: sum sigma(n) q^n;  e2_series: E2 = 1 - 24 D, built from
+    d_series.
 
 psi_series is computed by direct lattice-point enumeration alone.  The
 same series is the product theta_weighted(chi) * (theta0 | V_k); the tests
@@ -25,6 +27,7 @@ from math import isqrt
 
 from .numtheory import CHI_MINUS3, CHI_MINUS4, DirichletCharacter
 from .qseries import QSeries
+from .sums import t_series
 
 __all__ = [
     "theta_mM",
@@ -38,17 +41,13 @@ __all__ = [
 
 
 def theta_mM(m: int, M: int, precision: int) -> QSeries:
-    """Theta series restricted to the arithmetic progression m mod M."""
-    if M < 1:
-        raise ValueError("modulus must be positive")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    coeffs = [0] * precision
-    nmax = isqrt(precision - 1)
-    for n in range(-nmax, nmax + 1):
-        if (n - m) % M == 0:
-            coeffs[n * n] += 1
-    return QSeries._from_numerators(coeffs)
+    """Theta series restricted to the arithmetic progression m mod M.
+
+    For n >= 1 the coefficient at n^2 counts x = +-n with x = m (mod M),
+    which is T_{0,m,M}; the constant term is 1 exactly when M | m.
+    """
+    series = t_series(0, m, M, precision)
+    return series if m % M else series + QSeries.monomial(0, precision)
 
 
 def theta0(precision: int) -> QSeries:
@@ -100,25 +99,17 @@ CM_CHARACTER: dict[int, DirichletCharacter] = {
 }
 
 
-def _sigma_table(precision: int) -> list[int]:
-    sig = [0] * precision
-    for d in range(1, precision):
-        for n in range(d, precision, d):
-            sig[n] += d
-    return sig
-
-
 def d_series(precision: int) -> QSeries:
     """Divisor-sum series sum_{n>=1} sigma(n) q^n."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    return QSeries._from_numerators(_sigma_table(precision))
+    sig = [0] * precision
+    for d in range(1, precision):
+        for n in range(d, precision, d):
+            sig[n] += d
+    return QSeries._from_numerators(sig)
 
 
 def e2_series(precision: int) -> QSeries:
-    """Weight-2 Eisenstein series 1 - 24 sum sigma(n) q^n."""
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    coeffs = [-24 * s for s in _sigma_table(precision)]
-    coeffs[0] = 1
-    return QSeries._from_numerators(coeffs)
+    """Weight-2 Eisenstein series E2 = 1 - 24 D."""
+    return -24 * d_series(precision) + QSeries.monomial(0, precision)

@@ -162,14 +162,14 @@ def cross_check(M: int, p_max: int) -> CheckReport:
     if M not in CASE_ROWS:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
     p_min = FIRST_PRIME[M]
-    values12 = table_at_least(4 * p_max + 1).values12
+    table = table_at_least(4 * p_max + 1)
     mismatches: list[tuple] = []
     branches: set[str] = set()
     checked = 0
     for p in primes_up_to(p_max):
         if p < p_min:
             continue
-        cells = zip(_cells(M, p), _residue_sums12(M, p, values12))
+        cells = zip(_cells(M, p), _residue_sums12(M, p, table))
         for m, ((row, rep, num, den), brute12) in enumerate(cells):
             checked += 1
             if 12 * num != brute12 * den:

@@ -9,17 +9,17 @@ H(n) = 0 unless n = 0 or n = 0, 3 (mod 4).
 The table builder counts each reduced form (a, b, c), meaning
 -a < b <= a <= c with b >= 0 when a = c, exactly once.  That enumeration
 hits imprimitive forms too, so no class-number formula fix-ups are needed,
-and 12*H(n) is an integer so the table stores the scaled values.  For fixed
-a and b the forms with c > a sit at n = 4ac - b^2, one tail of stride 4a
-starting at 4a(a + 1) - b^2.  Tails whose b^2 agree mod 4a share a column
-n = -b^2 (mod 4a); the builder merges them, so each column is walked once,
-in runs between consecutive tail starts, each run one slice of the table
-rebuilt with the weight of the tails begun so far.  At limit 2*10^5 that is
-5.7M element updates, all inside list comprehensions, against 8.0M
-single-element statements for one walk per tail.  A single
-H(n) that the shared table does not cover walks only the reduced forms of
-discriminant -n (Cohen, GTM 138, Algorithm 5.3.5): O(n) time, and the table
-is left as it is.
+and 12*H(n) is an integer, so the table is the tuple of the integers
+12*H(n) for n < len(table).  For fixed a and b the forms with c > a sit at
+n = 4ac - b^2, one tail of stride 4a starting at 4a(a + 1) - b^2.  Tails
+whose b^2 agree mod 4a share a column n = -b^2 (mod 4a); the builder merges
+them, so each column is walked once, in runs between consecutive tail
+starts, each run one slice of the table rebuilt with the weight of the tails
+begun so far.  At limit 2*10^5 that is 5.7M element updates, all inside
+list comprehensions, against 8.0M single-element statements for one walk
+per tail.  A single H(n) that the shared table does not cover walks only
+the reduced forms of discriminant -n (Cohen, GTM 138, Algorithm 5.3.5):
+O(n) time, and the table is left as it is.
 
 The restricted sums are
 
@@ -35,14 +35,12 @@ by term from moment_sum, and the tests compare the two.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .qseries import QSeries
 
 __all__ = [
-    "HurwitzTable",
     "build_table",
     "table_at_least",
     "hurwitz",
@@ -51,21 +49,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HurwitzTable:
-    """Immutable table of 12*H(n) for 0 <= n < limit."""
-
-    limit: int
-    values12: tuple[int, ...]
-
-    def value(self, n: int) -> Fraction:
-        if not 0 <= n < self.limit:
-            raise IndexError(f"H({n}) not tabulated (limit {self.limit})")
-        return Fraction(self.values12[n], 12)
-
-
-def build_table(limit: int) -> HurwitzTable:
-    """Tabulate 12*H(n) for all n < limit in one reduced-form sweep."""
+def build_table(limit: int) -> tuple[int, ...]:
+    """The tuple of 12*H(n) for all n < limit, from one reduced-form sweep."""
     if limit < 1:
         raise ValueError("table limit must be >= 1")
     v = [0] * limit
@@ -97,17 +82,17 @@ def build_table(limit: int) -> HurwitzTable:
             for (start, w), end in zip(tails, ends):
                 weight += w
                 v[start:end:step] = [x + weight for x in v[start:end:step]]
-    return HurwitzTable(limit=limit, values12=tuple(v))
+    return tuple(v)
 
 
 _table = build_table(1)
 
 
-def table_at_least(limit: int) -> HurwitzTable:
-    """Shared table covering at least [0, limit); grown on demand."""
+def table_at_least(limit: int) -> tuple[int, ...]:
+    """Shared table of 12*H(n) covering at least [0, limit); grown on demand."""
     global _table
-    if _table.limit < limit:
-        _table = build_table(max(limit, 2 * _table.limit, 1024))
+    if len(_table) < limit:
+        _table = build_table(max(limit, 2 * len(_table), 1024))
     return _table
 
 
@@ -144,17 +129,14 @@ def hurwitz(n: int) -> Fraction:
     if n < 0 or n % 4 in (1, 2):
         return Fraction(0)
     table = _table
-    if n < table.limit:
-        return table.value(n)
-    return Fraction(_forms12(n), 12)
+    return Fraction(table[n] if n < len(table) else _forms12(n), 12)
 
 
 def hurwitz_series(precision: int) -> QSeries:
     """Generating series sum H(n) q^n to the requested precision."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    table = table_at_least(precision)
-    return QSeries._from_numerators(table.values12[:precision], 12)
+    return QSeries._from_numerators(table_at_least(precision)[:precision], 12)
 
 
 def moment_sum(kappa: int, m: int, M: int, n: int) -> Fraction:
@@ -167,8 +149,7 @@ def moment_sum(kappa: int, m: int, M: int, n: int) -> Fraction:
         raise ValueError("argument must be nonnegative")
     four_n = 4 * n
     tmax = isqrt(four_n)
-    table = table_at_least(four_n + 1)
-    v = table.values12
+    v = table_at_least(four_n + 1)
     total = 0
     start = -tmax + ((m + tmax) % M)
     for t in range(start, tmax + 1, M):
@@ -176,15 +157,15 @@ def moment_sum(kappa: int, m: int, M: int, n: int) -> Fraction:
     return Fraction(total, 12)
 
 
-def _residue_sums12(M: int, n: int, values12) -> list[int]:
-    """[12*H_{m,M}(n) for m in range(M)], from one gather of values12.
+def _residue_sums12(M: int, n: int, table: tuple[int, ...]) -> list[int]:
+    """[12*H_{m,M}(n) for m in range(M)], from one gather of the table.
 
     The values 12*H(4n - t^2) for 0 <= t <= sqrt(4n) are read once; class
     r of t >= 0 is one slice of them, and -t falls in class -r, so every
-    residue costs one slice sum.  values12 must cover 0..4n.
+    residue costs one slice sum.  The table must cover 0..4n.
     """
     four_n = 4 * n
-    vals = [values12[four_n - t * t] for t in range(isqrt(four_n) + 1)]
+    vals = [table[four_n - t * t] for t in range(isqrt(four_n) + 1)]
     half = [sum(vals[r::M]) for r in range(M)]
     # t = 0 is its own negative, so class 0 must not count it twice
     sums = [half[m] + half[-m % M] for m in range(M)]

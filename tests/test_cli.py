@@ -235,6 +235,14 @@ def test_hurwitz_caps_n(capsys):
         assert invoke(capsys, "hurwitz", n)[:2] == (0, "0\n"), n
 
 
+_LATTICE_RESIDUES = (
+    ("lambda", ["--m", "0", "--modulus", "1"]),
+    ("G", ["--m", "0", "--modulus", "1"]),
+    ("T", ["--m", "0", "--modulus", "1"]),
+    ("mu", ["--a", "0", "--b", "0", "--modulus", "2"]),
+)
+
+
 # one past each cap; the overshoot caps are where the identity product
 # 4*overshoot*bound + 1 would pass 10^5 terms (bound 96 mod 6, 256 mod 8)
 @pytest.mark.parametrize("argv", [
@@ -242,6 +250,11 @@ def test_hurwitz_caps_n(capsys):
     ["qexp", "--form", "psi3", "--terms", str(cli._SERIES_MAX + 1)],
     ["lattice-sum", "--variant", "G", "--ell", "1", "--m", "1", "--modulus", "6",
      "--terms", str(cli._SERIES_MAX + 1)],
+    *(["lattice-sum", "--variant", variant, "--ell", str(cli._ELL_MAX + 1), *residues,
+       "--terms", "10"] for variant, residues in _LATTICE_RESIDUES),
+    # past Python's int-to-str digit limit, which used to end in a traceback
+    ["lattice-sum", "--variant", "T", "--ell", "20000", "--m", "0", "--modulus", "1",
+     "--terms", "10"],
     ["cross-check", "--modulus", "6", "--pmax", str(cli._TABLE_MAX_PMAX + 1)],
     ["verify", "--suite", "classical", "--pmax", str(cli._TABLE_MAX_PMAX + 1)],
     ["verify", "--suite", "lemmas", "--pmax", str(cli._LEMMA_MAX_N + 1)],
@@ -254,6 +267,14 @@ def test_size_caps_refuse(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == "" and "capped" in err
+
+
+@pytest.mark.parametrize("variant, residues", _LATTICE_RESIDUES,
+                         ids=[variant for variant, _ in _LATTICE_RESIDUES])
+def test_ell_cap_admits_its_own_value(capsys, variant, residues):
+    code, out, _ = invoke(capsys, "lattice-sum", "--variant", variant,
+                          "--ell", str(cli._ELL_MAX), *residues, "--terms", "10")
+    assert code == 0 and len(out.splitlines()) == 10
 
 
 def test_overshoot_caps_admit_their_own_value():

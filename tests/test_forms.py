@@ -33,6 +33,17 @@ def test_theta_pinned_values():
     t = theta_mM(0, 6, 40)
     assert t[0] == 1 and t[36] == 2
     assert sum(t.coeffs) == 3
+    # against a direct count of #{x : x = m (mod M), x^2 = n}, constant term
+    # and negative m included
+    for M in range(1, 10):
+        for m in range(-M - 1, 2 * M + 1):
+            for precision in (1, 2, 50):
+                xmax = isqrt(precision - 1)
+                count = [0] * precision
+                for x in range(-xmax, xmax + 1):
+                    if (x - m) % M == 0:
+                        count[x * x] += 1
+                assert list(theta_mM(m, M, precision)) == count, (m, M, precision)
 
 
 def test_theta0_is_unrestricted_theta():
@@ -122,9 +133,13 @@ def test_d_and_e2():
 
 
 def test_precision_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="precision must be >= 1"):
         theta_mM(0, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modulus must be positive"):
         theta_mM(0, 0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        theta_mM(0, 0, 0)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
         d_series(0)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        e2_series(0)

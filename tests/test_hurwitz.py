@@ -41,13 +41,13 @@ def test_package_attribute_is_the_module():
 def test_against_canonical_reduction_oracle():
     table = table_at_least(2001)
     for n in range(2001):
-        assert table.value(n) == hurwitz_naive(n), n
+        assert Fraction(table[n], 12) == hurwitz_naive(n), n
 
 
 def test_table_scaling_and_positivity():
     table = table_at_least(10**4 + 1)
     for n in range(10**4 + 1):
-        v12 = table.values12[n]
+        v12 = table[n]
         assert isinstance(v12, int)  # 12*H(n) integral by construction
         if n > 0 and n % 4 in (0, 3):
             assert v12 > 0
@@ -59,14 +59,14 @@ def test_table_scaling_and_positivity():
 def test_merged_columns_match_one_walk_per_tail():
     # every small limit, then each residue of the limit mod 4 near 10^5
     for limit in [*range(1, 401), *range(10**5, 10**5 + 4)]:
-        assert list(build_table(limit).values12) == build_table_strides(limit), limit
+        assert list(build_table(limit)) == build_table_strides(limit), limit
 
 
 def test_form_count_matches_the_table():
     table = build_table(2 * 10**4)
-    for n in range(1, table.limit):
+    for n in range(1, len(table)):
         if n % 4 in (0, 3):
-            assert _forms12(n) == table.values12[n], n
+            assert _forms12(n) == table[n], n
 
 
 def test_form_count_matches_naive_oracle_past_the_table():
@@ -78,7 +78,7 @@ def test_lookup_past_the_table_leaves_it_alone():
     from hclassnum import hurwitz as module
 
     table = table_at_least(1)
-    n = 4 * table.limit + 3
+    n = 4 * len(table) + 3
     assert hurwitz(n) == Fraction(_forms12(n), 12)
     assert module._table is table
 
@@ -92,7 +92,7 @@ def test_table_at_least_growth_rule(monkeypatch):
     # uncovered: grown to max(limit, 2 * old, 1024) and shared from then on
     for limit, grown in ((11, 1024), (1500, 2048), (5000, 5000)):
         table = table_at_least(limit)
-        assert table.limit == grown, limit
+        assert len(table) == grown, limit
         assert module._table is table
         assert table_at_least(limit - 1) is table
 
@@ -113,8 +113,7 @@ def test_oracles_load_without_the_package(monkeypatch):
 def test_table_bounds():
     with pytest.raises(ValueError):
         build_table(0)
-    with pytest.raises(IndexError):
-        build_table(5).value(5)
+    assert len(build_table(5)) == 5
 
 
 def test_series_prefix():
@@ -191,19 +190,19 @@ def test_moment_sum_validates():
 
 
 def test_residue_sums_match_moment_sum():
-    values12 = table_at_least(4 * 5000 + 1).values12
+    table = table_at_least(4 * 5000 + 1)
     for p in primes_up_to(5000):
         for M in (1, 5, 6, 8):
-            sums = [Fraction(s, 12) for s in _residue_sums12(M, p, values12)]
+            sums = [Fraction(s, 12) for s in _residue_sums12(M, p, table)]
             assert sums == [moment_sum(0, m, M, p) for m in range(M)], (M, p)
-    sums = [Fraction(s, 12) for s in _residue_sums12(3, 0, values12)]
+    sums = [Fraction(s, 12) for s in _residue_sums12(3, 0, table)]
     assert sums == [Fraction(-1, 12), 0, 0]
 
 
 def test_integer_residue_sums_are_twelve_times_the_fractions():
-    values12 = table_at_least(4 * 5000 + 1).values12
+    table = table_at_least(4 * 5000 + 1)
     for p in [0] + primes_up_to(5000):
         for M in (1, 3, 5, 6, 8):
-            sums12 = _residue_sums12(M, p, values12)
+            sums12 = _residue_sums12(M, p, table)
             assert all(type(s) is int for s in sums12)
             assert sums12 == [12 * moment_sum(0, m, M, p) for m in range(M)], (M, p)
