@@ -50,8 +50,8 @@ _TABLE_MAX_PMAX = (_TABLE_MAX - 1) // 4
 # largest series precision: qexp --terms, lattice-sum --terms, and the
 # product (H * theta) | U_4 of the identity suites, which has
 # 4*overshoot*bound + 1 terms.  At 10^5 terms the slowest form (psi3)
-# takes 1.8 s and verify --suite mod6 --overshoot 260 3.6 s; both grow
-# like terms^1.5 (4.3 s and 12 s at twice the precision)
+# takes 1.8 s and verify --suite mod6 --overshoot 260 1.3-1.4 s; both grow
+# like terms^1.3-1.5 (4.3 s, and 3.7 s in-process, at twice the precision)
 _SERIES_MAX = 100_000
 # largest moment exponent of lattice-sum --ell; the paper and the lemma
 # suite use ell <= 3.  At --terms 10^5 and modulus 1 the slowest variant
@@ -59,8 +59,8 @@ _SERIES_MAX = 100_000
 # mu needs 123 MB at ell = 150
 _ELL_MAX = 80
 # largest coefficient range of the lemma suite (verify --pmax with --suite
-# lemmas or all): verify --suite lemmas takes 0.9 s and 22 MB at 4000, 0.5 s
-# and 19 MB at 2000
+# lemmas or all): verify --suite lemmas takes 0.3-0.4 s and 23 MB at 4000,
+# 0.3 s and 19 MB at 2000
 _LEMMA_MAX_N = 4_000
 
 

@@ -17,6 +17,8 @@ appears only at the API edge (construction from rationals, `s[n]`,
 
 Operators:
   * u_operator(m): b(n) = a(m*n), the index-extraction operator U_m;
+  * mul_u(other, m): (a * other) | U_m, one strided pass per nonzero
+    coefficient of the sparser factor; `*` is its m = 1 case;
   * v_operator(m): dilation q -> q^m, the section of U_m;
   * sieve(M, r): keep exactly the coefficients with n = r (mod M);
   * twist(chi): b(n) = chi(n) * a(n) for a Dirichlet character chi.
@@ -163,7 +165,7 @@ class QSeries:
 
     def __mul__(self, other: Union["QSeries", Rational]) -> "QSeries":
         if isinstance(other, QSeries):
-            return self._cauchy(other)
+            return self.mul_u(other, 1)
         return self._scale(other)
 
     def __rmul__(self, other: Rational) -> "QSeries":
@@ -171,22 +173,37 @@ class QSeries:
 
     def _scale(self, c: Rational) -> "QSeries":
         c = _as_fraction(c)
+        num = c.numerator
         return QSeries._from_numerators(
-            [c.numerator * a for a in self._nums],
+            [num * a for a in self._nums],
             c.denominator * self._den,
         )
 
-    def _cauchy(self, other: "QSeries") -> "QSeries":
+    def mul_u(self, other: "QSeries", m: int) -> "QSeries":
+        """(self * other) | U_m, forming only the product's coefficients
+        that U_m keeps.
+
+        Precision ceil(P/m) for P the smaller of the two precisions, as for
+        (self * other).u_operator(m); m = 1 is the Cauchy product.
+        """
+        if not isinstance(other, QSeries):
+            raise TypeError("mul_u multiplies two series")
+        if m < 1:
+            raise ValueError("U-operator index must be >= 1")
         p = min(len(self._nums), len(other._nums))
         a, b = self._nums[:p], other._nums[:p]
         # run the sparser factor on the outside; the big products here are
         # theta-like series with O(sqrt(P)) support
         if a.count(0) < b.count(0):
             a, b = b, a
-        out = [0] * p
-        for i, ci in enumerate(a):
-            if ci:
-                out[i:] = map(add, out[i:], map(mul, repeat(ci), b))
+        out = [0] * -(-p // m)
+        for j, cj in enumerate(a):
+            if cj:
+                # a_j b_i lands on m*n = i + j for n >= ceil(j/m), and the
+                # slice of b has exactly one entry per n left in out
+                n = -(-j // m)
+                strided = b[m * n - j : p - j : m]
+                out[n:] = map(add, out[n:], map(mul, repeat(cj), strided))
         return QSeries._from_numerators(out, self._den * other._den)
 
     # -- the operator calculus ---------------------------------------------------

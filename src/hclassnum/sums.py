@@ -29,8 +29,11 @@ The sieve modulus 2^f * M1 is M when 4 | M and M/2 otherwise;
 _sieve_modulus decides it for lambda_u4_twist, mu_closed and _mu_closed_rows.
 
 lambda_u4_twist assembles exactly this sum for every even M, and
-verify_lemmas checks it against the literal pipeline lambda_series | U_4
-(x) chi_{M,0}.  For the paper's moduli it specialises to these case rows
+verify_lemmas checks it against the literal side for every m at once:
+_lambda_literal_rows bins one factorization sweep of n = d1*e1 (4n =
+(2*d1)(2*e1)) by t = d1 + e1 mod M.  lambda_series | U_4 (x) chi_{M,0} is
+the tests' oracle for those rows.  For the paper's moduli it specialises
+to these case rows
 (m read mod M; odd m gives zero):
 
     M = 6, m = 0:     2^(l+1) * G_{l,1,3} | S_{6,5}
@@ -179,6 +182,40 @@ def _mu_closed_rows(ell: int, M: int, n_max: int) -> list[list[int]]:
         bin_n = bins[n]
         for index, r in live[n % residue_mod]:
             row[index] = two_l * bin_n[r]
+        rows.append(row)
+    return rows
+
+
+def _lambda_literal_rows(ell: int, M: int, n_max: int) -> list[list[int]]:
+    """2 * lambda_{ell,m,M}(4n) at n < n_max coprime to M, for every m mod M.
+
+    rows[m] holds the numerators over 2 of lambda_series(ell, m, M, 4*n_max)
+    | U_4 (x) chi_{M,0}, zero at every n not coprime to M.  4n = d*e with
+    d <= e of the same parity forces both even, so the sweep runs over
+    n = d1*e1 with d1 <= e1, where d = 2*d1 and t = d1 + e1.  It bins
+    (2*d1)^ell by t mod M, doubled when d1 < e1 (the half weight of s = 0
+    is the single count at d1 = e1), and row m sums the bins with the
+    weight of each sign branch.
+    """
+    bins = [[0] * n_max for _ in range(M)]
+    d1 = 1
+    while d1 * d1 < n_max:
+        dl = (2 * d1) ** ell
+        bins[2 * d1 % M][d1 * d1] += dl
+        for e1 in range(d1 + 1, (n_max - 1) // d1 + 1):
+            bins[(d1 + e1) % M][d1 * e1] += 2 * dl
+        d1 += 1
+    for r in range(M):
+        if gcd(r, M) != 1:
+            for column in bins:
+                column[r::M] = [0] * len(column[r::M])
+    rows = []
+    for m in range(M):
+        row = [0] * n_max
+        for r, column in enumerate(bins):
+            w = _branch_weight(r, m, M)
+            if w:
+                row = [x + w * y for x, y in zip(row, column)]
         rows.append(row)
     return rows
 

@@ -28,7 +28,11 @@ M = 6; m = 1, 3 for M = 8) the bound is recomputed from that larger index
 rather than reusing the Gamma_0 bound; conservative costs nothing here.
 
 verify_lemmas exercises the lattice-sum layer itself: the literal mu and
-Lambda sums against their divisor-sum closed forms.  For mu it runs one
+Lambda sums against their divisor-sum closed forms.  For Lambda it runs one
+factorization sweep per (M, ell), binned by t mod M, which gives the
+literal side of every residue m as one row of 2 * Lambda(4n) over n, and
+compares each row with lambda_u4_twist; lambda_series, the literal series
+itself, is the tests' oracle for the rows.  For mu it runs one
 factorization sweep (the literal side) and one divisor sweep (the closed
 side) per (M, ell), each giving a row of all M^2 residue pairs per n, and
 compares the rows.  verify_classical covers the two classical regressions
@@ -46,7 +50,12 @@ from .hurwitz import _residue_sums12, hurwitz_series, table_at_least
 from .numtheory import DirichletCharacter, euler_phi, prime_factors, primes_up_to
 from .qseries import QSeries
 from .reporting import CheckReport, jsonable
-from .sums import _mu_closed_rows, _mu_literal_rows, lambda_series, lambda_u4_twist
+from .sums import (
+    _lambda_literal_rows,
+    _mu_closed_rows,
+    _mu_literal_rows,
+    lambda_u4_twist,
+)
 
 __all__ = [
     "GroupSpec",
@@ -175,13 +184,14 @@ MOD8_IDENTITIES: tuple[IdentitySpec, ...] = (
 def identity_lhs(spec: IdentitySpec, precision: int) -> QSeries:
     """Left side of an identity, to the requested precision.
 
-    Multiplies the class-number series by the sieved theta and applies U_4.
+    Multiplies the class-number series by the sieved theta and applies U_4,
+    in one strided product that forms only the coefficients U_4 keeps.
     The tests rebuild the same side from brute-force t-scans of every
     H_{m,M}(n), with an oracle in tests/oracles.py, and compare the two.
     """
     m, M = spec.m, spec.modulus
     inner = 4 * precision - 3  # U_4 output then has exactly `precision`
-    base = (hurwitz_series(inner) * theta_mM(m, M, inner)).u_operator(4)
+    base = hurwitz_series(inner).mul_u(theta_mM(m, M, inner), 4)
     chi0 = DirichletCharacter.principal(M)
     correction = Fraction(1, 2) * lambda_u4_twist(1, m, M, precision)
     return base.twist(chi0) + correction
@@ -236,20 +246,21 @@ def verify_lemmas(n_max: int = 600) -> CheckReport:
     Two families, for ell in {0, 1, 3}: the twisted U_4 image of
     Lambda_{ell,m,M} for every residue m, compared coefficientwise to n_max;
     and mu_{ell,a,b,M}(n) for every residue pair (a, b) against its
-    divisor-sum evaluation, for every n <= n_max coprime to M.  The mu family
-    takes one factorization sweep and one divisor sweep per (M, ell), each
-    binning all M^2 pairs of every n into one row, and compares the rows;
-    each (a, b, n) counts as one check.
+    divisor-sum evaluation, for every n <= n_max coprime to M.  The Lambda
+    family takes one factorization sweep per (M, ell) for the literal side of
+    all M residues.  The mu family takes one factorization sweep and one
+    divisor sweep per (M, ell), each binning all M^2 pairs of every n into
+    one row, and compares the rows; each (a, b, n) counts as one check.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     mismatches: list[tuple] = []
     checked = 0
     for M in (6, 8):
-        chi0 = DirichletCharacter.principal(M)
         for ell in (0, 1, 3):
-            for m in range(M):
-                literal = lambda_series(ell, m, M, 4 * n_max).u_operator(4).twist(chi0)
+            rows = _lambda_literal_rows(ell, M, n_max)
+            for m, row in enumerate(rows):
+                literal = QSeries._from_numerators(row, 2)
                 closed = lambda_u4_twist(ell, m, M, n_max)
                 checked += n_max
                 if literal != closed:

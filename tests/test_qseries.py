@@ -214,6 +214,31 @@ def test_u_and_v_match_fraction_reference(f, m):
     assert fracs(f.v_operator(m)) == want
 
 
+@given(wide_series, wide_series, st.integers(1, 6))
+def test_mul_u_matches_product_then_u(f, g, m):
+    # unequal precisions and mixed denominators; P < m when both are short
+    product = f.mul_u(g, m)
+    assert product == (f * g).u_operator(m) == g.mul_u(f, m)
+    assert fracs(product) == cauchy_naive(fracs(f), fracs(g))[::m]
+
+
+def test_mul_u_edge_cases():
+    f = QSeries([Fraction(1, 2), 3, Fraction(-2, 3), 5])
+    g = QSeries([Fraction(1, 5), 7])
+    # P = 2 < m = 3: only a(0) * b(0) is left, and nothing past it is known
+    short = f.mul_u(g, 3)
+    assert short == QSeries([Fraction(1, 10)])
+    with pytest.raises(IndexError):
+        short[1]
+    for m in range(1, 7):
+        assert f.mul_u(QSeries.zero(9), m) == QSeries.zero(-(-4 // m))
+        assert QSeries.zero(3).mul_u(f, m) == QSeries.zero(-(-3 // m))
+    with pytest.raises(ValueError):
+        f.mul_u(g, 0)
+    with pytest.raises(TypeError):
+        f.mul_u(2, 1)
+
+
 def test_representation_is_canonical():
     f = QSeries([Fraction(2, 4), 3])
     g = QSeries([Fraction(1, 2), 3])

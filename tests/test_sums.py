@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from hclassnum.numtheory import DirichletCharacter
 from hclassnum.qseries import QSeries
 from hclassnum.sums import (
+    _lambda_literal_rows,
     _mu_closed_rows,
     _mu_literal_rows,
     g_series,
@@ -69,6 +70,19 @@ def test_mu_rows_match_the_scalar_sums(ell, M):
                 assert literal[n][a * M + b] == mu_coeff(ell, a, b, M, n), (a, b, n)
                 if gcd(n, M) == 1:
                     assert closed[n][a * M + b] == mu_closed(ell, a, b, M, n), (a, b, n)
+
+
+@pytest.mark.parametrize("M", (6, 8))
+@pytest.mark.parametrize("ell", (0, 1, 3))
+def test_lambda_rows_match_the_literal_pipeline(ell, M):
+    # lambda_series is the oracle for the binned sweep of verify_lemmas
+    chi0 = DirichletCharacter.principal(M)
+    for n_max in (1, 2, 3, 150):
+        rows = _lambda_literal_rows(ell, M, n_max)
+        assert len(rows) == M
+        for m, row in enumerate(rows):
+            want = lambda_series(ell, m, M, 4 * n_max).u_operator(4).twist(chi0)
+            assert row == [2 * c for c in want], (n_max, m)
 
 
 def test_mu_closed_rejects_bad_arguments():

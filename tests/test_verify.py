@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from hclassnum import verify
-from hclassnum.forms import d_series
+from hclassnum.forms import d_series, theta_mM
 from hclassnum.formulas import cross_check
+from hclassnum.hurwitz import hurwitz_series
 from hclassnum.numtheory import DirichletCharacter, primes_up_to
-from hclassnum.sums import lambda_u4_twist, mu_closed, mu_coeff
+from hclassnum.sums import lambda_series, lambda_u4_twist, mu_closed, mu_coeff
 from hclassnum.verify import (
     MOD6_IDENTITIES,
     MOD8_IDENTITIES,
@@ -81,6 +82,15 @@ def test_both_lhs_pipelines_agree(spec):
     assert identity_lhs(spec, prec) == brute
 
 
+@pytest.mark.parametrize("spec", MOD6_IDENTITIES + MOD8_IDENTITIES,
+                         ids=lambda s: s.name)
+def test_strided_product_equals_product_then_u4(spec):
+    # the product identity_lhs takes at overshoot 16, built both ways
+    inner = 4 * (16 * sturm_bound(2, spec.group) + 1) - 3
+    h, theta = hurwitz_series(inner), theta_mM(spec.m, spec.modulus, inner)
+    assert h.mul_u(theta, 4) == (h * theta).u_operator(4)
+
+
 def test_mod8_odd_cases_differ_only_in_cm_sign():
     one, three = MOD8_IDENTITIES[1], MOD8_IDENTITIES[3]
     assert one.d_terms == three.d_terms  # shared divisor-sum term
@@ -133,6 +143,23 @@ def test_verify_lemmas_reports_a_wrong_mu_value(monkeypatch):
     assert not report.verdict
     assert mu_coeff(1, 6, 0, 8, 105) == mu_closed(1, 6, 0, 8, 105) == 20
     assert report.mismatches == [("mu", 8, 1, 6, 0, 105, 20, 21)]
+    assert report.checked == 26_100
+
+
+def test_verify_lemmas_reports_a_wrong_lambda_value(monkeypatch):
+    literal_rows = verify._lambda_literal_rows
+
+    def off_by_a_half(ell, M, n_max):
+        rows = literal_rows(ell, M, n_max)
+        if (ell, M) == (1, 8):
+            rows[2][105] += 1  # m = 2 at n = 105, where 2 * Lambda(420) = 64
+        return rows
+
+    monkeypatch.setattr(verify, "_lambda_literal_rows", off_by_a_half)
+    report = verify_lemmas(150)
+    assert not report.verdict
+    assert lambda_series(1, 2, 8, 421)[420] == lambda_u4_twist(1, 2, 8, 150)[105] == 32
+    assert report.mismatches == [("lambda", 8, 1, 2, 105, Fraction(65, 2), 32)]
     assert report.checked == 26_100
 
 
