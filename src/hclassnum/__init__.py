@@ -7,7 +7,7 @@ evaluate the congruence-restricted sums H_{m,6}(p) and H_{m,8}(p) in closed
 form, and cross-checks everything against brute force and an independent
 elliptic-curve counting oracle.
 """
-from .eccount import TraceDistribution, trace_distribution, verify_curve_counts
+from .eccount import trace_distribution, verify_curve_counts
 from .forms import d_series, e2_series, psi_series, theta0, theta_mM, theta_weighted
 from .formulas import FormulaResult, cross_check, h_formula
 from .hurwitz import build_table, hurwitz_series, moment_sum
@@ -52,7 +52,6 @@ __all__ = [
     "IdentityReport",
     "PrimeRepresentation",
     "QSeries",
-    "TraceDistribution",
     "build_table",
     "cross_check",
     "d_series",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import eccount, formulas, verify
 from .forms import CM_CHARACTER, d_series, e2_series, psi_series, theta_mM
@@ -342,16 +343,18 @@ def _cmd_ec_traces(args: argparse.Namespace) -> int:
     if p > _EC_MAX_P:
         raise UsageError(f"p is capped at {_EC_MAX_P}")
     try:
-        dist = eccount.trace_distribution(p)
+        counts = eccount.trace_distribution(p)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    traces = sorted(dist.weights)
-    lines = [f"{t}: {dist.weights[t]}" for t in traces]
-    lines.append(f"mass: {dist.mass()}")
+    # N_A(p; t) = counts[t] / (p - 1)
+    weights = {t: Fraction(c, p - 1) for t, c in counts.items()}
+    mass = Fraction(sum(counts.values()), p - 1)
+    lines = [f"{t}: {w}" for t, w in weights.items()]
+    lines.append(f"mass: {mass}")
     result = {
         "p": p,
-        "mass": str(dist.mass()),
-        "weights": {str(t): str(dist.weights[t]) for t in traces},
+        "mass": str(mass),
+        "weights": {str(t): str(w) for t, w in weights.items()},
     }
     _emit(args, result, [], lines)
     return 0

@@ -27,16 +27,19 @@ With chi = e - 1, e in {0, 1, 2}, and w shifted to be nonnegative, every
 term of a correlation is nonnegative, so all p sums of a family are the
 slots of one product of two packed integers (_correlation).  A prime costs
 O(p) integer work, O(p) memory and three big-integer products, with the
-standard library alone (no numpy); nothing is rounded.  These
-distributions are the independent oracle for the class-number identity
-2 * N_A(p; t) = H(4p - t^2) when p does not divide t.
+standard library alone (no numpy); nothing is rounded.
+
+trace_distribution(p) returns these counts as integers over the explicit
+denominator p - 1: the dict t -> (p - 1) * N_A(p; t), which sums to
+p * (p - 1).  They are the independent oracle for the class-number identity
+2 * N_A(p; t) = H(4p - t^2) when p does not divide t, which
+verify_curve_counts checks in integers.
 """
 from __future__ import annotations
 
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -44,21 +47,7 @@ from .hurwitz import table_at_least
 from .numtheory import is_prime, primes_up_to
 from .reporting import CheckReport
 
-__all__ = ["TraceDistribution", "trace_distribution", "verify_curve_counts"]
-
-
-@dataclass(frozen=True)
-class TraceDistribution:
-    """Map t -> N_A(p; t) as exact rationals; absent traces are zero."""
-
-    p: int
-    weights: dict[int, Fraction]
-
-    def weight(self, t: int) -> Fraction:
-        return self.weights.get(t, Fraction(0))
-
-    def mass(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+__all__ = ["trace_distribution", "verify_curve_counts"]
 
 
 def _slot_code(bound: int) -> str:
@@ -100,8 +89,11 @@ def _correlation(w: list[int], e: list[int]) -> list[int]:
     return [s + offset for s in slots]
 
 
-def trace_distribution(p: int) -> TraceDistribution:
-    """Weighted curve counts for every trace over F_p, p > 3 prime."""
+def trace_distribution(p: int) -> dict[int, int]:
+    """t -> (p - 1) * N_A(p; t) for every trace t over F_p, p > 3 prime.
+
+    Only traces with a nonzero count are keys, in increasing order.
+    """
     if p <= 3 or not is_prime(p):
         raise ValueError("trace counts need a prime p > 3")
     e = [0] * p  # chi + 1
@@ -138,8 +130,7 @@ def trace_distribution(p: int) -> TraceDistribution:
         hist[tmax - t] += half * n
     for t, n in Counter(loci).items():
         hist[tmax + t] += n
-    weights = {t - tmax: Fraction(c, p - 1) for t, c in enumerate(hist) if c}
-    return TraceDistribution(p=p, weights=weights)
+    return {t - tmax: c for t, c in enumerate(hist) if c}
 
 
 def verify_curve_counts(p_max: int) -> CheckReport:
@@ -155,21 +146,22 @@ def verify_curve_counts(p_max: int) -> CheckReport:
     for p in primes_up_to(p_max):
         if p <= 3:
             continue
-        dist = trace_distribution(p)
         # N_A(p; t) = counts[t] / (p - 1), so the checks run in integers:
         # 2 * N_A(p; t) = H(4p - t^2) times 12 (p - 1)
-        counts = {t: w.numerator * ((p - 1) // w.denominator)
-                  for t, w in dist.weights.items()}
-        if sum(counts.values()) != p * (p - 1):
-            mismatches.append(("mass", p, dist.mass(), p))
+        counts = trace_distribution(p)
+        mass = sum(counts.values())
+        if mass != p * (p - 1):
+            mismatches.append(("mass", p, Fraction(mass, p - 1), p))
         tmax = isqrt(4 * p)
         for t in range(-tmax, tmax + 1):
             if t % p == 0:
                 continue
             checked += 1
             h12 = table[4 * p - t * t]
-            if 24 * counts.get(t, 0) != h12 * (p - 1):
-                mismatches.append(("trace", p, t, 2 * dist.weight(t), Fraction(h12, 12)))
+            count = counts.get(t, 0)
+            if 24 * count != h12 * (p - 1):
+                mismatches.append(("trace", p, t, Fraction(2 * count, p - 1),
+                                   Fraction(h12, 12)))
     return CheckReport(
         name="curve counts vs class numbers",
         checked=checked,

@@ -49,9 +49,6 @@ __all__ = [
 class FormulaResult:
     """One closed-form evaluation, with the table row that produced it."""
 
-    p: int
-    m: int
-    M: int
     value: Fraction
     branch: str
     representation: PrimeRepresentation | None = None
@@ -127,8 +124,8 @@ def h_formula(M: int, p: int, m: int) -> FormulaResult:
     if p < FIRST_PRIME[M] or not is_prime(p):
         raise ValueError(f"H_(m,{M})(p) needs a prime p >= {FIRST_PRIME[M]}")
     row, rep, num, den = _cells(M, p)[m % M]
-    return FormulaResult(p=p, m=m, M=M, value=Fraction(num, den),
-                         branch=row.label, representation=rep)
+    return FormulaResult(value=Fraction(num, den), branch=row.label,
+                         representation=rep)
 
 
 def _cells(M: int, p: int) -> list[tuple[CaseRow, PrimeRepresentation | None, int, int]]:

@@ -128,7 +128,7 @@ class QSeries:
         return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:6])
+        head = ", ".join(str(Fraction(c, self._den)) for c in self._nums[:6])
         tail = ", ..." if len(self._nums) > 6 else ""
         return f"QSeries([{head}{tail}], precision={len(self._nums)})"
 

@@ -193,14 +193,13 @@ def lambda_coeff(ell: int, m: int, M: int, n: int) -> Fraction:
 def trace_distribution_pairs(p: int):
     """Curve oracle over every raw pair (a, b) with 4a^3 + 27b^2 != 0.
 
-    Each nonsingular pair counts 1 / (p - 1) at its trace; O(p^3) time and
-    a p x p table, so keep p small.
+    Each nonsingular pair counts 1 at its trace, so t maps to
+    (p - 1) * N_A(p; t) as in eccount.trace_distribution; O(p^3) time and a
+    p x p table, so keep p small.
     """
     # imported here: perfbench/references.py loads this file for
-    # hurwitz_naive alone, without the package on the path
+    # hurwitz_naive alone
     import numpy as np
-
-    from hclassnum.eccount import TraceDistribution
 
     if p <= 3 or not trial_division_prime(p):
         raise ValueError("trace counts need a prime p > 3")
@@ -232,9 +231,4 @@ def trace_distribution_pairs(p: int):
             keep[r] = False
             keep[p - r] = False
         hist += np.bincount(traces[keep] + tmax, minlength=2 * tmax + 1)
-    weights = {
-        int(t - tmax): Fraction(int(c), p - 1)
-        for t, c in enumerate(hist)
-        if c
-    }
-    return TraceDistribution(p=p, weights=weights)
+    return {int(t - tmax): int(c) for t, c in enumerate(hist) if c}

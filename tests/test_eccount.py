@@ -6,7 +6,6 @@ import pytest
 
 from hclassnum import eccount
 from hclassnum.eccount import (
-    TraceDistribution,
     _correlation,
     _slot_code,
     trace_distribution,
@@ -25,36 +24,43 @@ def test_rejects_bad_p():
 
 
 def test_p5_distribution_pinned():
-    dist = trace_distribution(5)
-    assert dist.mass() == 5
-    assert dist.weight(0) == 1
+    # counts are (p - 1) * N_A(p; t), here over p - 1 = 4
+    counts = trace_distribution(5)
+    assert counts == {-4: 1, -3: 2, -2: 3, -1: 2, 0: 4, 1: 2, 2: 3, 3: 2, 4: 1}
     for t in (1, 2, 3, 4, -1, -2, -3, -4):
-        assert 2 * dist.weight(t) == hurwitz(20 - t * t), t
+        assert Fraction(2 * counts[t], 4) == hurwitz(20 - t * t), t
 
 
 def test_mass_formula():
-    for p in (5, 7, 11, 13, 17):
-        assert trace_distribution(p).mass() == p
+    # every prime below the ec-traces cap of 500: integer counts summing to
+    # (p - 1) * p, the mass p over the denominator p - 1
+    for p in primes_up_to(499):
+        if p > 3:
+            counts = trace_distribution(p)
+            assert all(type(t) is int and type(c) is int
+                       for t, c in counts.items()), p
+            assert sum(counts.values()) == p * (p - 1), p
 
 
 def test_hasse_bound_and_integrality():
     for p in (5, 7, 11, 13):
-        dist = trace_distribution(p)
+        counts = trace_distribution(p)
         tmax = isqrt(4 * p)
-        for t, w in dist.weights.items():
+        assert list(counts) == sorted(counts)
+        for t, c in counts.items():
             assert t * t <= 4 * p
             assert abs(t) <= tmax
-            assert (12 * w).denominator == 1  # 12 N_A(p;t) is an integer
-            assert w > 0
+            assert 12 * c % (p - 1) == 0  # 12 N_A(p;t) is an integer
+            assert c > 0
 
 
 def test_twist_symmetry_off_p():
     # the quadratic twist flips the trace, matching weighted counts at +-t
     for p in (5, 7, 11, 13):
-        dist = trace_distribution(p)
+        counts = trace_distribution(p)
         for t in range(1, isqrt(4 * p) + 1):
             if t % p:
-                assert dist.weight(t) == dist.weight(-t), (p, t)
+                assert counts.get(t, 0) == counts.get(-t, 0), (p, t)
 
 
 def test_j_sweep_matches_raw_pair_sweep():
@@ -101,9 +107,9 @@ def test_packed_correlation_matches_double_loop():
 def test_mass_and_hasse_range_past_sixteen_bit_sums():
     p = 20011  # the generic correlation's slots need 32 bits here
     assert is_prime(p)
-    dist = trace_distribution(p)
-    assert dist.mass() == p
-    assert all(t * t <= 4 * p and w > 0 for t, w in dist.weights.items())
+    counts = trace_distribution(p)
+    assert sum(counts.values()) == p * (p - 1)
+    assert all(t * t <= 4 * p and c > 0 for t, c in counts.items())
 
 
 def test_curve_count_identity_small():
@@ -120,14 +126,22 @@ def test_curve_count_identity_extended():
     assert report.checked == 5180
 
 
+def test_passing_curve_counts_build_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a passing check built a Fraction")
+
+    monkeypatch.setattr(eccount, "Fraction", refuse)
+    report = verify_curve_counts(97)
+    assert report.verdict and report.checked > 0
+
+
 def test_curve_count_mismatches_carry_fractions(monkeypatch):
-    # the checks compare integers; a wrong weight is still reported as the
+    # the checks compare integers; a wrong count is still reported as the
     # rationals 2 * N_A(p; t) and H(4p - t^2), and a wrong mass as N_A's sum
     def shifted(p):
-        dist = trace_distribution(p)
-        weights = dict(dist.weights)
-        weights[1] += Fraction(1, p - 1)
-        return TraceDistribution(p=p, weights=weights)
+        counts = trace_distribution(p)
+        counts[1] += 1  # N_A(p; 1) up by 1 / (p - 1)
+        return counts
 
     monkeypatch.setattr(eccount, "trace_distribution", shifted)
     report = verify_curve_counts(13)
@@ -148,14 +162,14 @@ def test_restricted_closure_against_class_number_sums():
     # summing 2 N_A(p;t) over t = m (mod M) with p not dividing t recovers
     # H_{m,M}(p) minus the p | t contributions (only t = 0 in this range)
     for p in (5, 7, 11, 13):
-        dist = trace_distribution(p)
+        counts = trace_distribution(p)
         tmax = isqrt(4 * p)
         for M in (6, 8):
             for m in range(M):
-                curve_side = sum(
-                    2 * dist.weight(t)
+                curve_side = Fraction(sum(
+                    2 * counts.get(t, 0)
                     for t in range(-tmax, tmax + 1)
                     if t % p and (t - m) % M == 0
-                )
+                ), p - 1)
                 excluded = hurwitz(4 * p) if m % M == 0 else Fraction(0)
                 assert curve_side == moment_sum(0, m, M, p) - excluded, (p, M, m)

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from hclassnum import qseries
 from hclassnum.forms import theta0
 from hclassnum.numtheory import CHI_MINUS3, CHI_MINUS4, DirichletCharacter
 from hclassnum.qseries import QSeries
@@ -251,6 +252,22 @@ def test_representation_is_canonical():
     assert zero.is_zero() and zero._den == 1
     assert zero == QSeries.zero(2) and hash(zero) == hash(QSeries.zero(2))
     assert (0 * QSeries([Fraction(1, 3)]))._den == 1
+
+
+def test_repr_shows_the_first_six_coefficients(monkeypatch):
+    assert repr(QSeries([1, Fraction(-1, 2), 0])) == "QSeries([1, -1/2, 0], precision=3)"
+    assert repr(QSeries(range(6))) == "QSeries([0, 1, 2, 3, 4, 5], precision=6)"
+    long = QSeries._from_numerators(range(100_000), 6)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(qseries, "Fraction", counted)
+    assert repr(long) == (
+        "QSeries([0, 1/6, 1/3, 1/2, 2/3, 5/6, ...], precision=100000)")
+    assert len(built) == 6  # the head only, not one per coefficient
 
 
 # -- serialization -----------------------------------------------------------------
