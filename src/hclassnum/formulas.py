@@ -9,7 +9,9 @@ x (None when the row reads no representation).  At import the rows are laid
 out per prime class r: _ROWS[M, r][m] is the one row serving residue m mod M
 at primes of class r, with H_{m,M} = H_{-m,M} folded in.  _cells(M, p)
 evaluates the rows of p's class for every m at once, calling represent once
-for each form they read; h_formula returns its cell m mod M.
+for each form they read; h_formula returns its cell m mod M.  CaseRow and
+h_formula's FormulaResult are immutable typing.NamedTuple records, so they
+also compare equal to plain tuples of their fields.
 
 Values are exact rationals; thirds and halves are legitimate because class
 numbers carry them.  cross_check checks every (prime, residue) pair against
@@ -25,8 +27,8 @@ and moment_sum, which must agree with the batched ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .forms import CM_CHARACTER
 from .hurwitz import _residue_sums12, moment_sum, table_at_least
@@ -45,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     """One closed-form evaluation, with the table row that produced it."""
 
     value: Fraction
@@ -54,8 +55,7 @@ class FormulaResult:
     representation: PrimeRepresentation | None = None
 
 
-@dataclass(frozen=True)
-class CaseRow:
+class CaseRow(NamedTuple):
     """One printed row: H_{m,M}(p) = (a*p + b)/c + chi_coeff*chi(x)*x."""
 
     label: str

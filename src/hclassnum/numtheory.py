@@ -4,11 +4,16 @@ Primality, divisors, the extended Kronecker symbol, real Dirichlet
 characters, and representations of primes by the forms x^2 + n*y^2
 (Cornacchia's algorithm over a Tonelli-Shanks square root).
 Everything is exact integer or rational arithmetic; no floats anywhere.
+
+DirichletCharacter and PrimeRepresentation are immutable records: each is a
+typing.NamedTuple of its fields, subclassed with a __new__ that rejects
+invalid fields (also through _make and _replace).  Like any NamedTuple they
+compare equal to plain tuples of the same fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 __all__ = [
     "is_prime",
@@ -148,8 +153,23 @@ def kronecker_symbol(a: int, b: int) -> int:
     return result if b == 1 else 0
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class _ValidatedRecord:
+    """Mixin for a NamedTuple subclass whose __new__ validates the fields:
+    _make, and so _replace, builds through __new__ as well."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _CharacterFields(NamedTuple):
+    modulus: int
+    disc: int = 1
+
+
+class DirichletCharacter(_ValidatedRecord, _CharacterFields):
     """A real Dirichlet character with values in {-1, 0, 1}.
 
     n -> kronecker_symbol(disc, n) on residues coprime to the modulus and 0
@@ -161,16 +181,16 @@ class DirichletCharacter:
     the values over one period.
     """
 
-    modulus: int
-    disc: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+    def __new__(cls, modulus: int, disc: int = 1) -> DirichletCharacter:
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        if not self.disc:
+        if not disc:
             raise ValueError("a character needs a nonzero discriminant")
-        if self.disc % 4 not in (0, 1):
+        if disc % 4 not in (0, 1):
             raise ValueError("kronecker discriminant must be 0 or 1 mod 4")
+        return super().__new__(cls, modulus, disc)
 
     @classmethod
     def principal(cls, modulus: int) -> "DirichletCharacter":
@@ -205,20 +225,24 @@ CHI_MINUS3 = DirichletCharacter.from_kronecker(-3)
 CHI_MINUS4 = DirichletCharacter.from_kronecker(-4)
 
 
-@dataclass(frozen=True)
-class PrimeRepresentation:
-    """The nonnegative solution of p = x^2 + n*y^2 (unique when n >= 2)."""
-
+class _RepresentationFields(NamedTuple):
     x: int
     y: int
     n: int
     p: int
 
-    def __post_init__(self) -> None:
-        if self.x < 0 or self.y < 0:
+
+class PrimeRepresentation(_ValidatedRecord, _RepresentationFields):
+    """The nonnegative solution of p = x^2 + n*y^2 (unique when n >= 2)."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int, n: int, p: int) -> PrimeRepresentation:
+        if x < 0 or y < 0:
             raise ValueError("representation must use nonnegative x, y")
-        if self.x * self.x + self.n * self.y * self.y != self.p:
+        if x * x + n * y * y != p:
             raise ValueError("not a representation: x^2 + n*y^2 != p")
+        return super().__new__(cls, x, y, n, p)
 
 
 def _sqrt_mod(a: int, p: int) -> int:

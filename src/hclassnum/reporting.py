@@ -1,11 +1,12 @@
 """Small shared report type for the verification suites.
 
-Rationals are serialized as canonical Fraction strings ("7", "-1/12") so
-that report JSON never contains floating point.
+CheckReport is a plain mutable class with __slots__: every report gets its
+own mismatches list and details dict.  Rationals are serialized as
+canonical Fraction strings ("7", "-1/12") so that report JSON never
+contains floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = ["CheckReport", "jsonable"]
@@ -22,14 +23,17 @@ def jsonable(value):
     return value
 
 
-@dataclass
 class CheckReport:
     """Outcome of one verification pass: what ran, what disagreed."""
 
-    name: str
-    checked: int
-    mismatches: list[tuple] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    __slots__ = ("name", "checked", "mismatches", "details")
+
+    def __init__(self, name: str, checked: int, mismatches: list[tuple] | None = None,
+                 details: dict | None = None) -> None:
+        self.name = name
+        self.checked = checked
+        self.mismatches = [] if mismatches is None else mismatches
+        self.details = {} if details is None else details
 
     @property
     def verdict(self) -> bool:

@@ -41,13 +41,19 @@ H_{0,5}(p)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .forms import CM_CHARACTER, d_series, psi_series, theta_mM
 from .hurwitz import _residue_sums12, hurwitz_series, table_at_least
-from .numtheory import DirichletCharacter, euler_phi, prime_factors, primes_up_to
+from .numtheory import (
+    DirichletCharacter,
+    _ValidatedRecord,
+    euler_phi,
+    prime_factors,
+    primes_up_to,
+)
 from .qseries import QSeries
 from .reporting import CheckReport, jsonable
 from .sums import (
@@ -75,18 +81,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Gamma_0(n1) intersect Gamma_1(n2), with n2 | n1."""
-
+class _GroupFields(NamedTuple):
     n1: int
     n2: int = 1
 
-    def __post_init__(self) -> None:
-        if self.n1 < 1 or self.n2 < 1:
+
+class GroupSpec(_ValidatedRecord, _GroupFields):
+    """Gamma_0(n1) intersect Gamma_1(n2), with n2 | n1."""
+
+    __slots__ = ()
+
+    def __new__(cls, n1: int, n2: int = 1) -> GroupSpec:
+        if n1 < 1 or n2 < 1:
             raise ValueError("levels must be positive")
-        if self.n1 % self.n2:
+        if n1 % n2:
             raise ValueError("n2 must divide n1")
+        return super().__new__(cls, n1, n2)
 
 
 def group_index(group: GroupSpec) -> int:
@@ -104,16 +114,19 @@ def sturm_bound(weight: int, group: GroupSpec) -> int:
     return weight * group_index(group) // 12
 
 
-@dataclass
 class IdentityReport:
     """Result of one coefficientwise identity check."""
 
-    name: str
-    group: GroupSpec
-    weight: int
-    bound: int
-    checked: int
-    mismatches: list[tuple[int, Fraction, Fraction]]
+    __slots__ = ("name", "group", "weight", "bound", "checked", "mismatches")
+
+    def __init__(self, name: str, group: GroupSpec, weight: int, bound: int,
+                 checked: int, mismatches: list[tuple[int, Fraction, Fraction]]) -> None:
+        self.name = name
+        self.group = group
+        self.weight = weight
+        self.bound = bound
+        self.checked = checked
+        self.mismatches = mismatches
 
     @property
     def verdict(self) -> bool:
@@ -133,8 +146,7 @@ class IdentityReport:
         }
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     """One identity: (m, modulus) fix the left side (see identity_lhs), and
     the right side is
 

@@ -286,20 +286,42 @@ def test_overshoot_caps_admit_their_own_value():
     cli._check_verify_caps("all", cli._LEMMA_MAX_N, 4)
 
 
+def _fresh_python(code):
+    """Run code in a new interpreter that imports the package from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+
+
 def test_cli_requests_leave_numpy_unimported():
-    code = (
+    proc = _fresh_python(
         "import sys\n"
         "import hclassnum.cli as cli\n"
         "assert cli.run(['hurwitz', '137524']) == 0\n"
         "assert cli.run(['ec-traces', '--p', '97']) == 0\n"
         "sys.exit('numpy' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "114"
+
+
+@pytest.mark.parametrize("request_code", [
+    "import hclassnum.cli\n",
+    # what `python -m hclassnum.cli hurwitz 12 --format json` runs
+    "sys.argv = ['hclassnum.cli', 'hurwitz', '12', '--format', 'json']\n"
+    "try:\n"
+    "    runpy.run_module('hclassnum.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as stop:\n"
+    "    assert stop.code == 0, stop.code\n",
+], ids=["import", "python-m-hurwitz"])
+def test_cli_leaves_dataclasses_and_inspect_unimported(request_code):
+    proc = _fresh_python("import runpy, sys\n" + request_code
+                         + "print(*sorted(sys.modules))\n")
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert "hclassnum.verify" in loaded, loaded
+    assert not {"dataclasses", "inspect"} & set(loaded), loaded
 
 
 def test_usage_errors(capsys):

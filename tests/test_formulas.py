@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -46,6 +45,18 @@ def test_rejects_small_primes_and_composites():
             h_formula(8, p, 0)
     with pytest.raises(ValueError):
         h_formula(7, 11, 0)
+
+
+@pytest.mark.parametrize("field", ["value", "branch", "representation"])
+def test_formula_results_are_frozen(field):
+    with pytest.raises(AttributeError):
+        setattr(h_formula(6, 7, 0), field, None)
+
+
+@pytest.mark.parametrize("field", ["label", "linear", "chi_coeff", "form"])
+def test_case_rows_are_frozen(field):
+    with pytest.raises(AttributeError):
+        setattr(CASE_ROWS[8][0], field, None)
 
 
 def test_residue_folding():
@@ -236,7 +247,7 @@ def test_cross_check_counts_every_prime_and_residue_once(M, checked):
 def test_cross_check_catches_a_wrong_row(M, index, monkeypatch):
     row = CASE_ROWS[M][index]
     a, b, c = row.linear
-    wrong = dataclasses.replace(row, linear=(a, b + c, c))  # off by one everywhere
+    wrong = row._replace(linear=(a, b + c, c))  # off by one everywhere
     rows = list(CASE_ROWS[M])
     rows[index] = wrong
     monkeypatch.setitem(formulas.CASE_ROWS, M, tuple(rows))

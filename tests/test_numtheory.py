@@ -121,6 +121,31 @@ def test_kronecker_kind_needs_good_discriminant():
         DirichletCharacter.from_kronecker(3)
 
 
+def test_character_validates_and_prints_its_fields():
+    with pytest.raises(ValueError):
+        DirichletCharacter(0)
+    with pytest.raises(ValueError):
+        DirichletCharacter(5, 2)
+    with pytest.raises(ValueError):
+        CHI_MINUS4._replace(disc=2)  # _replace builds through the same checks
+    assert repr(CHI_MINUS4) == "DirichletCharacter(modulus=4, disc=-4)"
+    assert DirichletCharacter(6) == DirichletCharacter.principal(6)
+    assert hash(DirichletCharacter(6)) == hash(DirichletCharacter.principal(6))
+
+
+@pytest.mark.parametrize("record, field", [
+    (CHI_MINUS4, "modulus"),
+    (CHI_MINUS4, "disc"),
+    (PrimeRepresentation(x=2, y=1, n=3, p=7), "x"),
+    (PrimeRepresentation(x=2, y=1, n=3, p=7), "p"),
+])
+def test_records_are_frozen(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 1)
+    with pytest.raises(AttributeError):
+        record.extra = 1  # no instance dict either
+
+
 def test_divisors_and_factors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert prime_factors(360) == [2, 3, 5]
@@ -202,6 +227,10 @@ def test_representation_validates():
         PrimeRepresentation(x=1, y=1, n=3, p=5)
     with pytest.raises(ValueError):
         PrimeRepresentation(x=-1, y=2, n=3, p=13)
+    with pytest.raises(ValueError):
+        PrimeRepresentation(1, 1, 3, 6)  # 1 + 3 = 4, not 6
+    with pytest.raises(ValueError):
+        represent(7, 3)._replace(y=2)
 
 
 def test_represent_criteria_over_primes():

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +9,7 @@ from hclassnum.forms import d_series, theta_mM
 from hclassnum.formulas import cross_check
 from hclassnum.hurwitz import hurwitz_series
 from hclassnum.numtheory import DirichletCharacter, primes_up_to
+from hclassnum.reporting import CheckReport
 from hclassnum.sums import lambda_series, lambda_u4_twist, mu_closed, mu_coeff
 from hclassnum.verify import (
     MOD6_IDENTITIES,
@@ -52,6 +52,27 @@ def test_group_spec_validates():
         GroupSpec(12, 5)
     with pytest.raises(ValueError):
         GroupSpec(0)
+    with pytest.raises(ValueError):
+        GroupSpec(144)._replace(n2=5)
+
+
+@pytest.mark.parametrize("record, field", [
+    (GroupSpec(144, 6), "n2"),
+    (MOD6_IDENTITIES[0], "cm"),
+])
+def test_records_are_frozen(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_check_reports_do_not_share_defaults():
+    first, second = CheckReport("x", 1), CheckReport("x", 1)
+    first.mismatches.append(("bad",))
+    first.details["key"] = 1
+    assert second.mismatches == [] and second.details == {}
+    assert first.mismatches is not second.mismatches
+    assert first.details is not second.details
+    assert second.verdict and not first.verdict
 
 
 def test_mod6_reports():
@@ -101,7 +122,7 @@ def test_mod8_odd_cases_differ_only_in_cm_sign():
 def test_perturbed_constant_flips_the_verdict():
     spec = MOD6_IDENTITIES[0]
     assert spec.cm == (Fraction(1, 6), 3)
-    bad = replace(spec, cm=(Fraction(1, 5), 3))  # 1/6 -> 1/5
+    bad = spec._replace(cm=(Fraction(1, 5), 3))  # 1/6 -> 1/5
     report = verify_identity(bad, overshoot=1)
     assert not report.verdict
     assert report.mismatches
