@@ -42,10 +42,10 @@ _VERIFY_MIN_PMAX = {"classical": 2, "all": 2, "ec": 5}
 # wall clock for one request at the cap, in a fresh process on the same host
 # as above; none needs more than 110 MB resident.
 #
-# largest H-table limit: hurwitz-table --limit, and 4*pmax + 1 for
+# largest H-table limit: hurwitz-table --limit, and at most 4*pmax + 1 for
 # cross-check and the classical suite.  cross-check --modulus 8 --pmax 10^5
-# takes 3.3-3.6 s, hurwitz-table --limit 400001 3.5-3.6 s; the table build
-# alone takes 1.2 s at 4*10^5 and 5.4 s at 8*10^5
+# takes 1.5-2.4 s (29 MB), hurwitz-table --limit 400001 3.5-3.6 s; the table
+# build alone takes 1.2 s at 4*10^5 and 5.4 s at 8*10^5
 _TABLE_MAX = 400_001
 _TABLE_MAX_PMAX = (_TABLE_MAX - 1) // 4
 # largest series precision: qexp --terms, lattice-sum --terms, and the

@@ -6,10 +6,13 @@ serves, the prime classes it serves (p mod 3 for M = 6, p mod 8 for M = 8),
 a linear part (a*p + b)/c, the coefficient of the square-root-size term
 chi(x)*x, and the form n of the representation p = x^2 + n*y^2 that supplies
 x (None when the row reads no representation).  At import the rows are laid
-out per prime class r: _ROWS[M, r][m] is the one row serving residue m mod M
-at primes of class r, with H_{m,M} = H_{-m,M} folded in.  _cells(M, p)
-evaluates the rows of p's class for every m at once, calling represent once
-for each form they read; h_formula returns its cell m mod M.  CaseRow and
+out per prime class r: _ROWS[M, r] holds the forms that the rows of class r
+read and, for each m, the one row serving residue m mod M at primes of
+class r (H_{m,M} = H_{-m,M} folded in) with its coefficients as integers
+over one denominator.  _cells(M, p) evaluates the rows of p's class for
+every m at once, calling represent once for each form they read and reading
+chi(x) from the character's table of values over one period; h_formula
+returns its cell m mod M.  CaseRow and
 h_formula's FormulaResult are immutable typing.NamedTuple records, so they
 also compare equal to plain tuples of their fields.
 
@@ -17,10 +20,12 @@ Values are exact rationals; thirds and halves are legitimate because class
 numbers carry them.  cross_check checks every (prime, residue) pair against
 the brute-force t-scan and reports which table rows fired.  It works one
 prime at a time and in integers: the primes come from the sieve, so
-primality is not tested again; one _cells call per prime gives all M
-closed-form values; one gather gives all M brute-force sums as the integers
-12*H_{m,M}(p); and a row's value is an integer numerator over its
-denominator c*d, so a cell holds when 12 * numerator = 12*H_{m,M}(p) * c*d.
+cross_check does not test them again; one _cells call per prime gives all M
+closed-form values; hurwitz._residue_sums12 yields all M brute-force sums of
+each prime as the integers 12*H_{m,M}(p), reading the values 12*H(4p - t^2)
+with one C-level gather per prime; and a row's value is an integer numerator
+over its denominator c*d, so a cell holds when
+12 * numerator = 12*H_{m,M}(p) * c*d.
 Fractions are built only for a mismatch and for the first prime where each
 row fires, where that cell is also computed by the scalar paths h_formula
 and moment_sum, which must agree with the batched ones.
@@ -31,7 +36,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .forms import CM_CHARACTER
-from .hurwitz import _residue_sums12, moment_sum, table_at_least
+from .hurwitz import _residue_sums12, moment_sum
 from .numtheory import PrimeRepresentation, is_prime, primes_up_to, represent
 from .reporting import CheckReport
 
@@ -101,15 +106,32 @@ FIRST_PRIME = {6: 5, 8: 3}
 # the prime classes of a row are residues of p modulo this
 _PRIME_CLASS_MODULUS = {6: 3, 8: 8}
 
-# _ROWS[M, r][m]: the row serving residue m mod M at primes of class r,
-# folded through H_{m,M} = H_{-m,M}
-_ROWS: dict[tuple[int, int], tuple[CaseRow, ...]] = {
-    (M, r): tuple(next(row for row in rows
-                       if min(m, M - m) in row.residues and r in row.prime_classes)
-                  for m in range(M))
-    for M, rows in CASE_ROWS.items()
-    for r in sorted({r for row in rows for r in row.prime_classes})
-}
+
+def _class_layout(M: int, r: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """The rows of CASE_ROWS[M] at primes of class r, as _cells reads them.
+
+    Returns (forms, layout): the forms n of x^2 + n*y^2 that the rows read,
+    and layout[m], for the one row serving residue m mod M (folded through
+    H_{m,M} = H_{-m,M}), that row with its value (a*p + b)/c + (k/d)*chi(x)*x
+    as the integers (a*d, b*d, c*k, c*d) of
+    ((a*d)*p + b*d + (c*k)*chi(x)*x) / (c*d).
+    """
+    layout = []
+    for m in range(M):
+        row = next(row for row in CASE_ROWS[M]
+                   if min(m, M - m) in row.residues and r in row.prime_classes)
+        a, b, c = row.linear
+        k, d = row.chi_coeff.numerator, row.chi_coeff.denominator
+        layout.append((row, a * d, b * d, c * k, c * d))
+    forms = {row.form for row, *_ in layout if row.form is not None}
+    return tuple(sorted(forms)), tuple(layout)
+
+
+_ROWS = {(M, r): _class_layout(M, r)
+         for M, rows in CASE_ROWS.items()
+         for r in sorted({r for row in rows for r in row.prime_classes})}
+# chi(0), ..., chi(period - 1) of each form's character, so chi(x) is one index
+_CHI_VALUES = {n: chi.residue_values() for n, chi in CM_CHARACTER.items()}
 
 
 def h_formula(M: int, p: int, m: int) -> FormulaResult:
@@ -135,18 +157,16 @@ def _cells(M: int, p: int) -> list[tuple[CaseRow, PrimeRepresentation | None, in
     p must already be known to be a prime that h_formula accepts.  represent
     runs once for each form that the rows of p's class read.
     """
-    rows = _ROWS[M, p % _PRIME_CLASS_MODULUS[M]]
+    forms, layout = _ROWS[M, p % _PRIME_CLASS_MODULUS[M]]
     reps: dict[int, tuple[PrimeRepresentation, int]] = {}
-    for n in {row.form for row in rows if row.form is not None}:
+    for n in forms:
         found = represent(p, n)
-        reps[n] = found, CM_CHARACTER[n](found.x) * found.x
+        chi = _CHI_VALUES[n]
+        reps[n] = found, chi[found.x % len(chi)] * found.x
     cells = []
-    for row in rows:
+    for row, ad, bd, ck, cd in layout:
         rep, chi_x = reps.get(row.form, (None, 0))
-        # (a*p + b)/c + (k/d)*chi(x)*x over the common denominator c*d
-        a, b, c = row.linear
-        k, d = row.chi_coeff.numerator, row.chi_coeff.denominator
-        cells.append((row, rep, (a * p + b) * d + c * k * chi_x, c * d))
+        cells.append((row, rep, ad * p + bd + ck * chi_x, cd))
     return cells
 
 
@@ -158,15 +178,12 @@ def cross_check(M: int, p_max: int) -> CheckReport:
     """
     if M not in CASE_ROWS:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
-    p_min = FIRST_PRIME[M]
-    table = table_at_least(4 * p_max + 1)
+    primes = [p for p in primes_up_to(p_max) if p >= FIRST_PRIME[M]]
     mismatches: list[tuple] = []
     branches: set[str] = set()
     checked = 0
-    for p in primes_up_to(p_max):
-        if p < p_min:
-            continue
-        cells = zip(_cells(M, p), _residue_sums12(M, p, table))
+    for p, sums12 in zip(primes, _residue_sums12(M, primes)):
+        cells = zip(_cells(M, p), sums12)
         for m, ((row, rep, num, den), brute12) in enumerate(cells):
             checked += 1
             if 12 * num != brute12 * den:

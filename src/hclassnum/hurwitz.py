@@ -26,17 +26,24 @@ The restricted sums are
     H_{kappa,m,M}(n) = sum over t = m (mod M), t^2 <= 4n of H(4n - t^2) t^kappa,
 
 with H_{m,M} = H_{0,m,M}.  moment_sum computes one of them by a direct
-t-scan over the table.  The sweeps over primes need every m at once: they
-gather the values 12*H(4n - t^2) once and read all M sums off that gather
-as the integers 12*H_{m,M}(n).  The q-expansion sum_n H_{m,M}(n) q^n is
-built once, by the operator pipeline (hurwitz_series * theta_{m,M}) | U_4
-in verify.identity_lhs; a test oracle in tests/oracles.py rebuilds it term
-by term from moment_sum, and the tests compare the two.
+t-scan over the table.  The sweeps over primes need every m at once:
+_residue_sums12 yields, for each n of an increasing list, all M sums as the
+integers 12*H_{m,M}(n).  It copies the table once into a C array, and for
+each n one operator.itemgetter of the squares t^2 applied to the reversed
+memoryview view[4n::-1] returns every value 12*H(4n - t^2) as one tuple,
+built in C with no interpreter step per t.  The q-expansion
+sum_n H_{m,M}(n) q^n is built once, by the operator pipeline
+(hurwitz_series * theta_{m,M}) | U_4 in verify.identity_lhs; a test oracle
+in tests/oracles.py rebuilds it term by term from moment_sum, and the tests
+compare the two.
 """
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from math import isqrt
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .qseries import QSeries
 
@@ -157,18 +164,31 @@ def moment_sum(kappa: int, m: int, M: int, n: int) -> Fraction:
     return Fraction(total, 12)
 
 
-def _residue_sums12(M: int, n: int, table: tuple[int, ...]) -> list[int]:
-    """[12*H_{m,M}(n) for m in range(M)], from one gather of the table.
+def _residue_sums12(M: int, ns: Sequence[int]) -> Iterator[list[int]]:
+    """[12*H_{m,M}(n) for m in range(M)] for each n of the increasing ns.
 
-    The values 12*H(4n - t^2) for 0 <= t <= sqrt(4n) are read once; class
-    r of t >= 0 is one slice of them, and -t falls in class -r, so every
-    residue costs one slice sum.  The table must cover 0..4n.
+    The table is copied once per call into a C array (array raises
+    OverflowError rather than wrap, so the copy is exact), and view[4n::-1]
+    is a view with w[j] = 12*H(4n - j).  One itemgetter of the squares t^2,
+    0 <= t <= sqrt(4n), reads all the values 12*H(4n - t^2) of an n as one
+    tuple, built in C; the getter is rebuilt only when sqrt(4n) passes a
+    new integer.  Class r of t >= 0 is one slice of the values, and -t
+    falls in class -r, so every residue costs one slice sum.
     """
-    four_n = 4 * n
-    vals = [table[four_n - t * t] for t in range(isqrt(four_n) + 1)]
-    half = [sum(vals[r::M]) for r in range(M)]
-    # t = 0 is its own negative, so class 0 must not count it twice
-    sums = [half[m] + half[-m % M] for m in range(M)]
-    sums[0] -= vals[0]
-    return sums
-
+    if not ns:
+        return
+    view = memoryview(array("i", table_at_least(4 * ns[-1] + 1)))
+    k = 0
+    for n in ns:
+        four_n = 4 * n
+        if isqrt(four_n) + 1 != k:
+            k = isqrt(four_n) + 1
+            # itemgetter of one index returns a scalar; at n = 0 the
+            # reversed view holds just 12*H(0)
+            gather = itemgetter(*[t * t for t in range(k)]) if k > 1 else tuple
+        vals = gather(view[four_n::-1])
+        half = [sum(vals[r::M]) for r in range(M)]
+        # t = 0 is its own negative, so class 0 must not count it twice
+        sums = [half[m] + half[-m % M] for m in range(M)]
+        sums[0] -= vals[0]
+        yield sums

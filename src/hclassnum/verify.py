@@ -46,7 +46,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .forms import CM_CHARACTER, d_series, psi_series, theta_mM
-from .hurwitz import _residue_sums12, hurwitz_series, table_at_least
+from .hurwitz import _residue_sums12, hurwitz_series
 from .numtheory import (
     DirichletCharacter,
     _ValidatedRecord,
@@ -322,12 +322,11 @@ def verify_classical(p_max: int = 2000) -> CheckReport:
     modulus-5 evaluation for primes 7 <= p <= p_max (it has no case for
     p = 5 itself).  Both compare the integers 12*H.
     """
-    table = table_at_least(4 * p_max + 1)
+    primes = primes_up_to(p_max)
     mismatches: list[tuple] = []
     checked = 0
-    for p in primes_up_to(p_max):
-        # one gather: the five classes mod 5 together are the full sum
-        sums12 = _residue_sums12(5, p, table)
+    # one gather per prime: the five classes mod 5 together are the full sum
+    for p, sums12 in zip(primes, _residue_sums12(5, primes)):
         checked += 1
         total12 = sum(sums12)
         if total12 != 24 * p:

@@ -127,7 +127,15 @@ def test_each_residue_and_prime_class_is_served_by_one_row():
                 serving = [row for row in rows
                            if min(m, M - m) in row.residues and r in row.prime_classes]
                 assert len(serving) == 1, (M, m, r, serving)
-                assert formulas._ROWS[M, r][m] is serving[0], (M, m, r)
+                forms, layout = formulas._ROWS[M, r]
+                assert layout[m][0] is serving[0], (M, m, r)
+    # the integers of each slot are its row's value over one denominator
+    for forms, layout in formulas._ROWS.values():
+        assert forms == tuple(sorted({row.form for row, *_ in layout} - {None}))
+        for row, ad, bd, ck, cd in layout:
+            a, b, c = row.linear
+            assert (Fraction(ad, cd), Fraction(bd, cd), Fraction(ck, cd)) == \
+                (Fraction(a, c), Fraction(b, c), row.chi_coeff)
 
 
 @pytest.mark.parametrize("M,p,forms", [(8, 17, [2, 4]), (8, 13, [4]), (8, 11, [2]),
@@ -142,7 +150,9 @@ def test_cells_represent_each_form_of_the_class_once(M, p, forms, monkeypatch):
     monkeypatch.setattr(formulas, "represent", counting_represent)
     cells = formulas._cells(M, p)
     assert sorted(calls) == [(p, n) for n in forms]
-    assert [row for row, *_ in cells] == list(formulas._ROWS[M, p % formulas._PRIME_CLASS_MODULUS[M]])
+    class_forms, layout = formulas._ROWS[M, p % formulas._PRIME_CLASS_MODULUS[M]]
+    assert class_forms == tuple(forms)
+    assert [row for row, *_ in cells] == [row for row, *_ in layout]
 
 
 def test_case_rows_follow_from_the_identities():
@@ -174,7 +184,7 @@ def test_case_rows_follow_from_the_identities():
                          if (c - residue) % modulus == 0), Fraction(0))
             beta = alpha - lam[in_class[0]] / 2
             for m in {spec.m % M, -spec.m % M}:
-                row = formulas._ROWS[M, c % formulas._PRIME_CLASS_MODULUS[M]][m]
+                row = formulas._ROWS[M, c % formulas._PRIME_CLASS_MODULUS[M]][1][m][0]
                 served.add(row)
                 a, b, d = row.linear
                 assert (Fraction(a, d), Fraction(b, d)) == (alpha, beta), (spec.name, m, c)
@@ -251,10 +261,9 @@ def test_cross_check_catches_a_wrong_row(M, index, monkeypatch):
     rows = list(CASE_ROWS[M])
     rows[index] = wrong
     monkeypatch.setitem(formulas.CASE_ROWS, M, tuple(rows))
-    for key, served in formulas._ROWS.items():
-        if any(slot is row for slot in served):
-            monkeypatch.setitem(formulas._ROWS, key,
-                                tuple(wrong if slot is row else slot for slot in served))
+    for key in formulas._ROWS:
+        if key[0] == M:
+            monkeypatch.setitem(formulas._ROWS, key, formulas._class_layout(*key))
     report = cross_check(M, 100)
     assert not report.verdict
     assert report.mismatches and {bad[-1] for bad in report.mismatches} == {row.label}

@@ -190,19 +190,42 @@ def test_moment_sum_validates():
 
 
 def test_residue_sums_match_moment_sum():
-    table = table_at_least(4 * 5000 + 1)
-    for p in primes_up_to(5000):
-        for M in (1, 5, 6, 8):
-            sums = [Fraction(s, 12) for s in _residue_sums12(M, p, table)]
+    primes = primes_up_to(5000)
+    for M in (1, 5, 6, 8):
+        for p, sums12 in zip(primes, _residue_sums12(M, primes), strict=True):
+            sums = [Fraction(s, 12) for s in sums12]
             assert sums == [moment_sum(0, m, M, p) for m in range(M)], (M, p)
-    sums = [Fraction(s, 12) for s in _residue_sums12(3, 0, table)]
-    assert sums == [Fraction(-1, 12), 0, 0]
+    [sums12] = _residue_sums12(3, [0])
+    assert [Fraction(s, 12) for s in sums12] == [Fraction(-1, 12), 0, 0]
 
 
 def test_integer_residue_sums_are_twelve_times_the_fractions():
-    table = table_at_least(4 * 5000 + 1)
-    for p in [0] + primes_up_to(5000):
-        for M in (1, 3, 5, 6, 8):
-            sums12 = _residue_sums12(M, p, table)
+    ns = [0] + primes_up_to(5000)
+    for M in (1, 3, 5, 6, 8):
+        for p, sums12 in zip(ns, _residue_sums12(M, ns), strict=True):
             assert all(type(s) is int for s in sums12)
             assert sums12 == [12 * moment_sum(0, m, M, p) for m in range(M)], (M, p)
+
+
+@pytest.mark.parametrize("M", range(1, 9))
+def test_residue_sums_over_consecutive_n(M):
+    # every n from 0 on, so the getter is rebuilt at every new isqrt(4n)
+    ns = range(3001)
+    got = list(_residue_sums12(M, ns))
+    assert got == [[12 * moment_sum(0, m, M, n) for m in range(M)] for n in ns]
+
+
+def test_residue_sums_of_no_n_is_empty():
+    assert list(_residue_sums12(6, [])) == []
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 25, 1234])
+def test_residue_sums_read_the_last_entry_of_an_exact_table(n, monkeypatch):
+    from hclassnum import hurwitz as module
+
+    # 4n + 1 is exactly the table's length, so an offset past 4n must fail
+    monkeypatch.setattr(module, "_table", build_table(4 * n + 1))
+    for M in (1, 2, 5, 8):
+        [sums12] = _residue_sums12(M, [n])
+        assert len(module._table) == 4 * n + 1
+        assert sums12 == [12 * moment_sum(0, m, M, n) for m in range(M)], (M, n)

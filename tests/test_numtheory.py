@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from hclassnum import numtheory
 from hclassnum.numtheory import (
     CHI_MINUS3,
     CHI_MINUS4,
@@ -170,6 +171,38 @@ def test_is_prime_refuses_past_its_proven_range():
     with pytest.raises(ValueError):
         is_prime(psi12 + 2)
     assert not is_prime(psi12 - 1)
+
+
+# psi_k for k = 1..11, the least strong pseudoprime to the first k primes
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051)
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+def test_is_prime_rejects_every_psi_k():
+    # psi_k is composite and fools the first k witnesses, so rejecting it
+    # needs more of them: each bound where is_prime adds witnesses is strict
+    assert [b for b, _ in numtheory._MR_BOUNDS[:-1]] == sorted(set(PSI))
+    for k, psi in enumerate(PSI, start=1):
+        assert all(_strong_probable_prime(psi, a) for a in numtheory._MR_WITNESSES[:k]), k
+        assert not is_prime(psi), k
+
+
+def test_is_prime_agrees_with_the_sieve_past_psi_2():
+    limit = 1_400_000
+    assert limit > PSI[1]
+    sieve = bytearray(limit)
+    for p in primes_up_to(limit - 1):
+        sieve[p] = 1
+    assert [n for n in range(limit) if is_prime(n) != sieve[n]] == []
 
 
 def test_primes_up_to():
