@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lambda/G/T/mu lattice-sum series")
     p.add_argument("--variant", choices=("lambda", "G", "T", "mu"), required=True)
     p.add_argument("--ell", type=int, required=True, help="moment exponent")
-    p.add_argument("--m", type=int, default=0, help="residue class of t")
+    p.add_argument("--m", type=int, default=None,
+                   help="residue class of t (lambda, G and T only; default 0)")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--terms", type=int, required=True,
                    help="number of coefficients to emit")
@@ -227,14 +228,16 @@ def _cmd_lattice_sum(args: argparse.Namespace) -> int:
     if args.variant == "mu":
         if args.a is None or args.b is None:
             raise UsageError("the mu variant needs --a and --b")
+        if args.m is not None:
+            raise UsageError("--m applies to the lambda, G and T variants only")
     elif args.a is not None or args.b is not None:
         raise UsageError("--a/--b apply to the mu variant only")
     try:
         if args.variant == "mu":
             series = mu_series(args.ell, args.a, args.b, args.modulus, args.terms)
         else:
-            series = _LATTICE_SERIES[args.variant](args.ell, args.m, args.modulus,
-                                                   args.terms)
+            m = 0 if args.m is None else args.m
+            series = _LATTICE_SERIES[args.variant](args.ell, m, args.modulus, args.terms)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _emit_series(args, series)

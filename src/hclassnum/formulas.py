@@ -1,44 +1,45 @@
 """Closed-form evaluation of H_{m,6}(p) and H_{m,8}(p) at primes.
 
-Each modulus has one row table, CASE_ROWS[M]: seven rows for M = 6 and
-eleven for M = 8.  A row holds its printed label, the folded residues m it
-serves, the prime classes it serves (p mod 3 for M = 6, p mod 8 for M = 8),
-a linear part (a*p + b)/c, the coefficient of the square-root-size term
-chi(x)*x, and the form n of the representation p = x^2 + n*y^2 that supplies
-x (None when the row reads no representation).  At import the rows are laid
-out per prime class r: _ROWS[M, r] holds the forms that the rows of class r
-read and, for each m, the one row serving residue m mod M at primes of
-class r (H_{m,M} = H_{-m,M} folded in) with its coefficients as integers
-over one denominator.  _cells(M, p) evaluates the rows of p's class for
-every m at once, calling represent once for each form they read and reading
+Each value is the coefficient of q^p in one weight-2 identity of verify
+(MOD6_IDENTITIES, MOD8_IDENTITIES).  verify's Sturm check proves each
+identity for all n, given that both sides are modular on the recorded group,
+which is the paper's theorem (Sturm, On the congruence of modular forms,
+LNM 1240, 1987); the closed forms follow from it.
+
+CASE_ROWS[M] holds the printed rows, seven for M = 6 and eleven for M = 8:
+a row's label, the folded residues m and the prime classes (p mod 3 for
+M = 6, p mod 8 for M = 8) it serves, and the form n of p = x^2 + n*y^2 that
+supplies x (None when it reads none).  At import _ROWS[M, r] lays out the
+rows of prime class r: the forms they read and, for each m, the row serving
+m mod M (H_{m,M} = H_{-m,M} folded in) with its value as integers over one
+denominator D, which _class_layout derives from the identity.  _cells(M, p)
+evaluates every m at once, calling represent once for each form and reading
 chi(x) from the character's table of values over one period; h_formula
-returns its cell m mod M.  CaseRow and
-h_formula's FormulaResult are immutable typing.NamedTuple records, so they
-also compare equal to plain tuples of their fields.
+returns its cell m mod M.  CaseRow and FormulaResult are typing.NamedTuple
+records, so they also compare equal to plain tuples of their fields.
 
 Values are exact rationals; thirds and halves are legitimate because class
 numbers carry them.  cross_check checks every (prime, residue) pair against
-the brute-force t-scan and reports which table rows fired.  It works one
-prime at a time and in integers: the primes come from the sieve, so
-cross_check does not test them again; one _cells call per prime gives all M
-closed-form values; hurwitz._residue_sums12 yields all M brute-force sums of
-each prime as the integers 12*H_{m,M}(p), reading the values 12*H(4p - t^2)
-with one C-level gather per prime; and a row's value is an integer numerator
-over its denominator c*d, so a cell holds when
-12 * numerator = 12*H_{m,M}(p) * c*d.
-Fractions are built only for a mismatch and for the first prime where each
-row fires, where that cell is also computed by the scalar paths h_formula
-and moment_sum, which must agree with the batched ones.
+the brute-force t-scan, one prime at a time and in integers: the sieve's
+primes are not tested again, one _cells call gives all M closed-form values,
+hurwitz._residue_sums12 all M sums 12*H_{m,M}(p) from one C-level gather,
+and a cell holds when 12 * numerator = 12*H_{m,M}(p) * D.  Fractions are
+built only for a mismatch and for the first cell of each row, which the
+scalar paths h_formula and moment_sum recompute and must agree with.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .forms import CM_CHARACTER
 from .hurwitz import _residue_sums12, moment_sum
 from .numtheory import PrimeRepresentation, is_prime, primes_up_to, represent
 from .reporting import CheckReport
+from .sums import lambda_u4_twist
+from .verify import MOD6_IDENTITIES, MOD8_IDENTITIES
 
 __all__ = [
     "CaseRow",
@@ -61,40 +62,36 @@ class FormulaResult(NamedTuple):
 
 
 class CaseRow(NamedTuple):
-    """One printed row: H_{m,M}(p) = (a*p + b)/c + chi_coeff*chi(x)*x."""
+    """One printed row: what it serves, and the form n whose x it reads."""
 
     label: str
     residues: tuple[int, ...]
     prime_classes: tuple[int, ...]
-    linear: tuple[int, int, int]
-    chi_coeff: Fraction
     form: int | None
 
 
-_ZERO = Fraction(0)
-
 CASE_ROWS: dict[int, tuple[CaseRow, ...]] = {
     6: (
-        CaseRow("m=0 (6), p=1 (3)", (0,), (1,), (1, 1, 3), Fraction(1, 3), 3),
-        CaseRow("m=0 (6), p=2 (3)", (0,), (2,), (2, -4, 3), _ZERO, None),
-        CaseRow("m=1,5 (6), p=1 (3)", (1,), (1,), (1, 1, 4), Fraction(1, 6), 3),
-        CaseRow("m=1,5 (6), p=2 (3)", (1,), (2,), (1, 1, 6), _ZERO, None),
-        CaseRow("m=2,4 (6), p=1 (3)", (2,), (1,), (1, -1, 2), Fraction(-1, 6), 3),
-        CaseRow("m=2,3,4 (6), p=2 (3)", (2, 3), (2,), (1, 1, 3), _ZERO, None),
-        CaseRow("m=3 (6), p=1 (3)", (3,), (1,), (1, 1, 6), Fraction(-1, 3), 3),
+        CaseRow("m=0 (6), p=1 (3)", (0,), (1,), 3),
+        CaseRow("m=0 (6), p=2 (3)", (0,), (2,), None),
+        CaseRow("m=1,5 (6), p=1 (3)", (1,), (1,), 3),
+        CaseRow("m=1,5 (6), p=2 (3)", (1,), (2,), None),
+        CaseRow("m=2,4 (6), p=1 (3)", (2,), (1,), 3),
+        CaseRow("m=2,3,4 (6), p=2 (3)", (2, 3), (2,), None),
+        CaseRow("m=3 (6), p=1 (3)", (3,), (1,), 3),
     ),
     8: (
-        CaseRow("m=0 (8), p=1 (4)", (0,), (1, 5), (1, 1, 4), Fraction(1, 2), 4),
-        CaseRow("m=0 (8), p=3 (8)", (0,), (3,), (1, 1, 3), _ZERO, None),
-        CaseRow("m=0 (8), p=7 (8)", (0,), (7,), (1, -3, 2), _ZERO, None),
-        CaseRow("m=2,6 (8), p=1 (4)", (2,), (1, 5), (5, -7, 12), _ZERO, 4),
-        CaseRow("m=2,6 (8), p=3 (4)", (2,), (3, 7), (1, 1, 4), _ZERO, None),
-        CaseRow("m=4 (8), p=1 (4)", (4,), (1, 5), (1, 1, 4), Fraction(-1, 2), 4),
-        CaseRow("m=4 (8), p=3 (8)", (4,), (3,), (1, -3, 2), _ZERO, None),
-        CaseRow("m=4 (8), p=7 (8)", (4,), (7,), (1, 1, 3), _ZERO, None),
-        CaseRow("m=1,7 (8), p=1,3 (8)", (1,), (1, 3), (1, 1, 6), Fraction(1, 3), 2),
-        CaseRow("m odd (8), p=5,7 (8)", (1, 3), (5, 7), (1, 1, 6), _ZERO, None),
-        CaseRow("m=3,5 (8), p=1,3 (8)", (3,), (1, 3), (1, 1, 6), Fraction(-1, 3), 2),
+        CaseRow("m=0 (8), p=1 (4)", (0,), (1, 5), 4),
+        CaseRow("m=0 (8), p=3 (8)", (0,), (3,), None),
+        CaseRow("m=0 (8), p=7 (8)", (0,), (7,), None),
+        CaseRow("m=2,6 (8), p=1 (4)", (2,), (1, 5), 4),
+        CaseRow("m=2,6 (8), p=3 (4)", (2,), (3, 7), None),
+        CaseRow("m=4 (8), p=1 (4)", (4,), (1, 5), 4),
+        CaseRow("m=4 (8), p=3 (8)", (4,), (3,), None),
+        CaseRow("m=4 (8), p=7 (8)", (4,), (7,), None),
+        CaseRow("m=1,7 (8), p=1,3 (8)", (1,), (1, 3), 2),
+        CaseRow("m odd (8), p=5,7 (8)", (1, 3), (5, 7), None),
+        CaseRow("m=3,5 (8), p=1,3 (8)", (3,), (1, 3), 2),
     ),
 }
 
@@ -105,31 +102,49 @@ MOD8_BRANCHES = tuple(row.label for row in CASE_ROWS[8])
 FIRST_PRIME = {6: 5, 8: 3}
 # the prime classes of a row are residues of p modulo this
 _PRIME_CLASS_MODULUS = {6: 3, 8: 8}
+# the identities each table is read off
+_IDENTITIES = {6: MOD6_IDENTITIES, 8: MOD8_IDENTITIES}
+# the least prime of each prime class, which stands for it in _class_layout
+_CLASS_PRIME = {(M, r): next(p for p in count(FIRST_PRIME[M]) if p % q == r and is_prime(p))
+                for M, q in _PRIME_CLASS_MODULUS.items() for r in range(q) if gcd(r, q) == 1}
+# Lambda_{1,m,M} | U_4 twisted past every such prime, for the identities of
+# even m (it vanishes for odd m)
+_LAMBDA = {(M, spec.m): lambda_u4_twist(1, spec.m, M, max(_CLASS_PRIME.values()) + 1)
+           for M, specs in _IDENTITIES.items() for spec in specs if spec.m % 2 == 0}
 
 
 def _class_layout(M: int, r: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """The rows of CASE_ROWS[M] at primes of class r, as _cells reads them.
+    """The rows of CASE_ROWS[M] at primes of class r, as _cells reads them:
+    the forms n of x^2 + n*y^2 they read, and per m the serving row with
+    the integers (A, B, K, D) of its value (A*p + B + K*chi(x)*x) / D.
 
-    Returns (forms, layout): the forms n of x^2 + n*y^2 that the rows read,
-    and layout[m], for the one row serving residue m mod M (folded through
-    H_{m,M} = H_{-m,M}), that row with its value (a*p + b)/c + (k/d)*chi(x)*x
-    as the integers (a*d, b*d, c*k, c*d) of
-    ((a*d)*p + b*d + (c*k)*chi(x)*x) / (c*d).
+    At a prime p not dividing M, the identity for min(m, M - m) with
+    cm = (c, k) reads H_{m,M}(p) + Lambda(p)/2 = alpha*(p + 1) + c*psi_k(p):
+    alpha sums the coeff of each d_term with p = residue (mod modulus), and
+    psi_k(p) = 2*chi(x)*x if the row reads x^2 + k*y^2, else 0.  So A/D =
+    alpha, B/D = alpha - Lambda(p)/2 and K/D = 2*c.  The class's least prime
+    stands for all of it: each d_terms sieve and Lambda's read p only mod 6
+    (M = 6, p odd) or mod 8 (M = 8); at a prime, d = 1 is the only divisor
+    below sqrt(p), and T vanishes off the squares.
     """
-    layout = []
-    for m in range(M):
+    p = _CLASS_PRIME[M, r]
+    derived = {}
+    for spec in _IDENTITIES[M]:
         row = next(row for row in CASE_ROWS[M]
-                   if min(m, M - m) in row.residues and r in row.prime_classes)
-        a, b, c = row.linear
-        k, d = row.chi_coeff.numerator, row.chi_coeff.denominator
-        layout.append((row, a * d, b * d, c * k, c * d))
+                   if spec.m in row.residues and r in row.prime_classes)
+        alpha = sum((coeff for coeff, modulus, residue in spec.d_terms
+                     if (p - residue) % modulus == 0), Fraction(0))
+        beta = alpha - _LAMBDA[M, spec.m][p] / 2 if (M, spec.m) in _LAMBDA else alpha
+        chi_coeff = 2 * spec.cm[0] if spec.cm and row.form else Fraction(0)
+        coeffs = (alpha, beta, chi_coeff)
+        d = lcm(*(x.denominator for x in coeffs))
+        derived[spec.m] = (row, *(x.numerator * d // x.denominator for x in coeffs), d)
+    layout = [derived[min(m, M - m)] for m in range(M)]
     forms = {row.form for row, *_ in layout if row.form is not None}
     return tuple(sorted(forms)), tuple(layout)
 
 
-_ROWS = {(M, r): _class_layout(M, r)
-         for M, rows in CASE_ROWS.items()
-         for r in sorted({r for row in rows for r in row.prime_classes})}
+_ROWS = {key: _class_layout(*key) for key in _CLASS_PRIME}
 # chi(0), ..., chi(period - 1) of each form's character, so chi(x) is one index
 _CHI_VALUES = {n: chi.residue_values() for n, chi in CM_CHARACTER.items()}
 
@@ -152,7 +167,7 @@ def h_formula(M: int, p: int, m: int) -> FormulaResult:
 
 def _cells(M: int, p: int) -> list[tuple[CaseRow, PrimeRepresentation | None, int, int]]:
     """For each m in range(M): the row serving (m, p), its representation,
-    and H_{m,M}(p) as an integer numerator over the row's denominator c*d.
+    and H_{m,M}(p) as an integer numerator over the row's denominator D.
 
     p must already be known to be a prime that h_formula accepts.  represent
     runs once for each form that the rows of p's class read.
@@ -164,9 +179,9 @@ def _cells(M: int, p: int) -> list[tuple[CaseRow, PrimeRepresentation | None, in
         chi = _CHI_VALUES[n]
         reps[n] = found, chi[found.x % len(chi)] * found.x
     cells = []
-    for row, ad, bd, ck, cd in layout:
+    for row, a, b, k, d in layout:
         rep, chi_x = reps.get(row.form, (None, 0))
-        cells.append((row, rep, ad * p + bd + ck * chi_x, cd))
+        cells.append((row, rep, a * p + b + k * chi_x, d))
     return cells
 
 

@@ -17,7 +17,11 @@ from brute-force t-scans (an oracle in tests/oracles.py) and each psi as
 a theta product, live in the tests.
 
 Both sides are modular of weight 2 on the recorded group, so agreement of
-the first floor(2 * index / 12) + 1 coefficients forces equality; the
+the first floor(2 * index / 12) + 1 coefficients forces equality (Sturm, On
+the congruence of modular forms, LNM 1240, 1987).  So a passing check
+proves the identity for all n, given that both sides are modular on the
+recorded group, which is the paper's theorem; formulas reads the closed
+forms of H_{m,M}(p) off the same specs, so they follow from it too.  The
 suites check a multiple of that bound (overshoot) to also catch precision
 bookkeeping bugs.  Groups are Gamma_0(N1) intersect Gamma_1(N2) with index
 
@@ -152,6 +156,11 @@ class IdentitySpec(NamedTuple):
 
         sum of coeff * D | S_{modulus,residue} over d_terms
         + coeff * psi_k for cm = (coeff, k), no CM term when cm is None.
+
+    verify_identity's Sturm check proves the identity for all n, given that
+    both sides are modular on group (the paper's theorem).  formulas derives
+    its closed forms from these fields: at a prime p, H_{m,M}(p) is the
+    coefficient of q^p.
     """
 
     m: int

@@ -110,6 +110,21 @@ def test_lattice_sum_commands(capsys):
     assert code == 2
 
 
+def test_lattice_sum_refuses_m_for_mu(capsys):
+    # mu reads --a/--b only; a --m it would ignore is a usage error
+    for m in ("5", "0"):
+        code, out, err = invoke(capsys, "lattice-sum", "--variant", "mu", "--ell", "1",
+                                "--m", m, "--modulus", "6", "--a", "2", "--b", "4",
+                                "--terms", "10")
+        assert code == 2 and out == "", m
+        assert "--m applies to the lambda, G and T variants only" in err
+    # without --m, the other variants read m = 0
+    for variant in ("lambda", "G", "T"):
+        argv = ["lattice-sum", "--variant", variant, "--ell", "1", "--modulus", "6",
+                "--terms", "10"]
+        assert invoke(capsys, *argv) == invoke(capsys, *argv, "--m", "0"), variant
+
+
 def test_hsum_command(capsys):
     code, out, _ = invoke(capsys, "hsum", "--modulus", "8", "--m", "0",
                           "--p", "3")

@@ -53,7 +53,7 @@ def test_formula_results_are_frozen(field):
         setattr(h_formula(6, 7, 0), field, None)
 
 
-@pytest.mark.parametrize("field", ["label", "linear", "chi_coeff", "form"])
+@pytest.mark.parametrize("field", ["label", "form"])
 def test_case_rows_are_frozen(field):
     with pytest.raises(AttributeError):
         setattr(CASE_ROWS[8][0], field, None)
@@ -118,6 +118,29 @@ def test_cross_check_small_range(M):
     assert report.details["branch_coverage_complete"]
 
 
+# the paper's printed rows: H_{m,M}(p) = (a*p + b)/c + chi_coeff*chi(x)*x
+PRINTED_ROWS = {
+    "m=0 (6), p=1 (3)": (1, 1, 3, Fraction(1, 3)),
+    "m=0 (6), p=2 (3)": (2, -4, 3, 0),
+    "m=1,5 (6), p=1 (3)": (1, 1, 4, Fraction(1, 6)),
+    "m=1,5 (6), p=2 (3)": (1, 1, 6, 0),
+    "m=2,4 (6), p=1 (3)": (1, -1, 2, Fraction(-1, 6)),
+    "m=2,3,4 (6), p=2 (3)": (1, 1, 3, 0),
+    "m=3 (6), p=1 (3)": (1, 1, 6, Fraction(-1, 3)),
+    "m=0 (8), p=1 (4)": (1, 1, 4, Fraction(1, 2)),
+    "m=0 (8), p=3 (8)": (1, 1, 3, 0),
+    "m=0 (8), p=7 (8)": (1, -3, 2, 0),
+    "m=2,6 (8), p=1 (4)": (5, -7, 12, 0),
+    "m=2,6 (8), p=3 (4)": (1, 1, 4, 0),
+    "m=4 (8), p=1 (4)": (1, 1, 4, Fraction(-1, 2)),
+    "m=4 (8), p=3 (8)": (1, -3, 2, 0),
+    "m=4 (8), p=7 (8)": (1, 1, 3, 0),
+    "m=1,7 (8), p=1,3 (8)": (1, 1, 6, Fraction(1, 3)),
+    "m odd (8), p=5,7 (8)": (1, 1, 6, 0),
+    "m=3,5 (8), p=1,3 (8)": (1, 1, 6, Fraction(-1, 3)),
+}
+
+
 def test_each_residue_and_prime_class_is_served_by_one_row():
     prime_classes = {6: (1, 2), 8: (1, 3, 5, 7)}
     assert set(formulas._ROWS) == {(M, r) for M in prime_classes for r in prime_classes[M]}
@@ -129,13 +152,14 @@ def test_each_residue_and_prime_class_is_served_by_one_row():
                 assert len(serving) == 1, (M, m, r, serving)
                 forms, layout = formulas._ROWS[M, r]
                 assert layout[m][0] is serving[0], (M, m, r)
-    # the integers of each slot are its row's value over one denominator
+    assert set(PRINTED_ROWS) == set(MOD6_BRANCHES + MOD8_BRANCHES)
+    # the integers derived for each slot are its printed row's value
     for forms, layout in formulas._ROWS.values():
         assert forms == tuple(sorted({row.form for row, *_ in layout} - {None}))
-        for row, ad, bd, ck, cd in layout:
-            a, b, c = row.linear
-            assert (Fraction(ad, cd), Fraction(bd, cd), Fraction(ck, cd)) == \
-                (Fraction(a, c), Fraction(b, c), row.chi_coeff)
+        for row, a, b, k, d in layout:
+            pa, pb, pc, chi_coeff = PRINTED_ROWS[row.label]
+            assert (Fraction(a, d), Fraction(b, d), Fraction(k, d)) == \
+                (Fraction(pa, pc), Fraction(pb, pc), chi_coeff), row.label
 
 
 @pytest.mark.parametrize("M,p,forms", [(8, 17, [2, 4]), (8, 13, [4]), (8, 11, [2]),
@@ -156,7 +180,7 @@ def test_cells_represent_each_form_of_the_class_once(M, p, forms, monkeypatch):
 
 
 def test_case_rows_follow_from_the_identities():
-    """Every row of CASE_ROWS is the coefficient of q^p in one identity.
+    """Every slot of _ROWS is the coefficient of q^p in one identity.
 
     At a prime p that does not divide M, the identity for H_{m,M} reads
     H_{m,M}(p) + Lambda(p)/2 = alpha*(p + 1) + cm_coeff*psi_k[p], where
@@ -168,7 +192,8 @@ def test_case_rows_follow_from_the_identities():
     tests/test_forms.py:test_psi_at_primes_is_the_hecke_character checks.
     Every sieve modulus and prime-class modulus divides 24, so a class of p
     mod 24 fixes both the sieves and the row; through H_{m,M} = H_{-m,M}
-    the identities cover every residue m mod M.
+    the identities cover every residue m mod M.  The package derives each
+    slot from the least prime of its class; this reads every prime below 193.
     """
     primes = primes_up_to(192)
     served = set()
@@ -184,16 +209,17 @@ def test_case_rows_follow_from_the_identities():
                          if (c - residue) % modulus == 0), Fraction(0))
             beta = alpha - lam[in_class[0]] / 2
             for m in {spec.m % M, -spec.m % M}:
-                row = formulas._ROWS[M, c % formulas._PRIME_CLASS_MODULUS[M]][1][m][0]
+                layout = formulas._ROWS[M, c % formulas._PRIME_CLASS_MODULUS[M]][1]
+                row, a, b, k, d = layout[m]
                 served.add(row)
-                a, b, d = row.linear
                 assert (Fraction(a, d), Fraction(b, d)) == (alpha, beta), (spec.name, m, c)
                 if spec.cm is None:
-                    assert row.chi_coeff == 0, (spec.name, m, c)
+                    assert k == 0, (spec.name, m, c)
                 elif row.form is not None:
-                    assert (row.chi_coeff, row.form) == (2 * spec.cm[0], spec.cm[1]), \
+                    assert (Fraction(k, d), row.form) == (2 * spec.cm[0], spec.cm[1]), \
                         (spec.name, m, c)
                 else:
+                    assert k == 0, (spec.name, m, c)
                     assert all(represent(p, spec.cm[1]) is None for p in in_class), \
                         (spec.name, m, c)
     assert served == set(CASE_ROWS[6] + CASE_ROWS[8])
@@ -256,17 +282,40 @@ def test_cross_check_counts_every_prime_and_residue_once(M, checked):
 @pytest.mark.parametrize("M,index", [(M, i) for M in (6, 8) for i in range(len(CASE_ROWS[M]))])
 def test_cross_check_catches_a_wrong_row(M, index, monkeypatch):
     row = CASE_ROWS[M][index]
-    a, b, c = row.linear
-    wrong = row._replace(linear=(a, b + c, c))  # off by one everywhere
-    rows = list(CASE_ROWS[M])
-    rows[index] = wrong
-    monkeypatch.setitem(formulas.CASE_ROWS, M, tuple(rows))
+    for key, (forms, layout) in formulas._ROWS.items():
+        if key[0] == M:
+            # off by one everywhere the row serves: B + D over D
+            wrong = tuple((r, a, b + d, k, d) if r is row else (r, a, b, k, d)
+                          for r, a, b, k, d in layout)
+            monkeypatch.setitem(formulas._ROWS, key, (forms, wrong))
+    report = cross_check(M, 100)
+    assert not report.verdict
+    assert report.mismatches and {bad[-1] for bad in report.mismatches} == {row.label}
+
+
+_D_TERMS = [(spec, i) for spec in MOD6_IDENTITIES + MOD8_IDENTITIES
+            for i in range(len(spec.d_terms))]
+
+
+@pytest.mark.parametrize("spec,index", _D_TERMS,
+                         ids=[f"{spec.name}-term{i}" for spec, i in _D_TERMS])
+def test_a_wrong_identity_coefficient_reaches_only_its_rows(spec, index, monkeypatch):
+    # the rows are derived from the identities, so a wrong d_terms coefficient
+    # shows up in exactly the rows of residue m at the primes its sieve reads
+    M = spec.modulus
+    coeff, modulus, residue = spec.d_terms[index]
+    reached = {h_formula(M, p, spec.m).branch for p in primes_up_to(100)
+               if p >= FIRST_PRIME[M] and (p - residue) % modulus == 0}
+    terms = list(spec.d_terms)
+    terms[index] = (coeff + Fraction(1, 12), modulus, residue)
+    specs = tuple(s._replace(d_terms=tuple(terms)) if s is spec else s
+                  for s in formulas._IDENTITIES[M])
+    monkeypatch.setitem(formulas._IDENTITIES, M, specs)
     for key in formulas._ROWS:
         if key[0] == M:
             monkeypatch.setitem(formulas._ROWS, key, formulas._class_layout(*key))
     report = cross_check(M, 100)
-    assert not report.verdict
-    assert report.mismatches and {bad[-1] for bad in report.mismatches} == {row.label}
+    assert reached and {bad[-1] for bad in report.mismatches} == reached
 
 
 def test_cross_check_compares_the_scalar_paths(monkeypatch):
