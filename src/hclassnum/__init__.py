@@ -8,7 +8,7 @@ form, and cross-checks everything against brute force and an independent
 elliptic-curve counting oracle.
 """
 from .eccount import trace_distribution, verify_curve_counts
-from .forms import d_series, e2_series, psi_series, theta0, theta_mM, theta_weighted
+from .forms import d_series, e2_series, psi_series, theta_mM
 from .formulas import FormulaResult, cross_check, h_formula
 from .hurwitz import build_table, hurwitz_series, moment_sum
 from .numtheory import (
@@ -70,9 +70,7 @@ __all__ = [
     "represent",
     "sturm_bound",
     "t_series",
-    "theta0",
     "theta_mM",
-    "theta_weighted",
     "trace_distribution",
     "verify_classical",
     "verify_curve_counts",

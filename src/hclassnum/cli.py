@@ -40,24 +40,25 @@ _HURWITZ_MAX_N = 2 * 10**8
 _VERIFY_MIN_PMAX = {"classical": 2, "all": 2, "ec": 5}
 # Above the caps below a size argument is refused with exit 2.  Times are
 # wall clock for one request at the cap, in a fresh process on the same host
-# as above; none needs more than 110 MB resident.
+# as above, with JSON output to /dev/null and peak RSS from os.wait4 (medians
+# of 7; python -c pass alone takes 0.04-0.05 s and 13 MB there); none needs
+# more than 110 MB resident.
 #
 # largest H-table limit: hurwitz-table --limit, and at most 4*pmax + 1 for
 # cross-check and the classical suite.  cross-check --modulus 8 --pmax 10^5
-# takes 1.5-2.4 s (29 MB), hurwitz-table --limit 400001 3.5-3.6 s; the table
-# build alone takes 1.2 s at 4*10^5 and 5.4 s at 8*10^5
+# takes 1.4-1.9 s (29 MB), hurwitz-table --limit 400001 1.8-1.9 s (84-87 MB);
+# the table build alone takes 1.3 s at 4*10^5 and 5.1 s at 8*10^5
 _TABLE_MAX = 400_001
 _TABLE_MAX_PMAX = (_TABLE_MAX - 1) // 4
 # largest series precision: qexp --terms, lattice-sum --terms, and the
 # product (H * theta) | U_4 of the identity suites, which has
-# 4*overshoot*bound + 1 terms.  At 10^5 terms the slowest form (psi3)
-# takes 1.8 s and verify --suite mod6 --overshoot 260 1.3-1.4 s; both grow
-# like terms^1.3-1.5 (4.3 s, and 3.7 s in-process, at twice the precision)
+# 4*overshoot*bound + 1 terms.  At 10^5 terms qexp --form psi3 takes 0.24 s
+# (31 MB) and verify --suite mod6 --overshoot 260 1.0-1.2 s (23 MB); at
+# twice the precision they take 0.37 s and 3.2 s
 _SERIES_MAX = 100_000
 # largest moment exponent of lattice-sum --ell; the paper and the lemma
-# suite use ell <= 3.  At --terms 10^5 and modulus 1 the slowest variant
-# (lambda) takes 0.9-1.2 s and the largest (mu) 95 MB with JSON output;
-# mu needs 123 MB at ell = 150
+# suite use ell <= 3.  At --terms 10^5 and modulus 1 lambda takes 0.44 s
+# (64 MB) and mu 0.47 s (94 MB); mu needs 149 MB at ell = 150
 _ELL_MAX = 80
 # largest coefficient range of the lemma suite (verify --pmax with --suite
 # lemmas or all): verify --suite lemmas takes 0.3-0.4 s and 23 MB at 4000,

@@ -3,9 +3,6 @@
   * theta_mM(m, M): sum of q^(n^2) over all integers n = m (mod M), read
     off the lattice sum T_{0,m,M} of sums.t_series plus the constant term
     1 when M | m;
-  * theta0: the full theta series (theta_mM with M = 1);
-  * theta_weighted(chi): (1/2) sum chi(x) x q^(x^2), the weight-3/2 theta
-    attached to an odd character;
   * psi_series(k, chi): (1/2) sum_n (sum_{x^2+ky^2=n} chi(x) x) q^n, the
     CM cusp form expansions; psi_series(3, chi_{-3}) is the newform
     36.2.a.a, psi_series(4, chi_{-4}) is 64.2.a.a, and psi_series(2,
@@ -17,9 +14,8 @@
   * d_series: sum sigma(n) q^n;  e2_series: E2 = 1 - 24 D, built from
     d_series.
 
-psi_series is computed by direct lattice-point enumeration alone.  The
-same series is the product theta_weighted(chi) * (theta0 | V_k); the tests
-build that product and compare it with the enumeration.
+psi_series is computed by direct lattice-point enumeration alone.  The tests
+compare it with the product (1/2) sum chi(x) x q^(x^2) * (theta_mM(0, 1) | V_k).
 """
 from __future__ import annotations
 
@@ -31,8 +27,6 @@ from .sums import t_series
 
 __all__ = [
     "theta_mM",
-    "theta0",
-    "theta_weighted",
     "psi_series",
     "CM_CHARACTER",
     "d_series",
@@ -48,21 +42,6 @@ def theta_mM(m: int, M: int, precision: int) -> QSeries:
     """
     series = t_series(0, m, M, precision)
     return series if m % M else series + QSeries.monomial(0, precision)
-
-
-def theta0(precision: int) -> QSeries:
-    """The unrestricted theta series: constant 1, coefficient 2 at squares."""
-    return theta_mM(0, 1, precision)
-
-
-def theta_weighted(chi: DirichletCharacter, precision: int) -> QSeries:
-    """(1/2) sum over x in Z of chi(x) x q^(x^2)."""
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    num2 = [0] * precision  # accumulate twice the coefficients to stay integral
-    for x in range(-isqrt(precision - 1), isqrt(precision - 1) + 1):
-        num2[x * x] += chi(x) * x
-    return QSeries._from_numerators(num2, 2)
 
 
 def psi_series(k: int, chi: DirichletCharacter, precision: int) -> QSeries:

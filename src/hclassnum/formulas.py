@@ -7,9 +7,10 @@ which is the paper's theorem (Sturm, On the congruence of modular forms,
 LNM 1240, 1987); the closed forms follow from it.
 
 CASE_ROWS[M] holds the printed rows, seven for M = 6 and eleven for M = 8:
-a row's label, the folded residues m and the prime classes (p mod 3 for
-M = 6, p mod 8 for M = 8) it serves, and the form n of p = x^2 + n*y^2 that
-supplies x (None when it reads none).  At import _ROWS[M, r] lays out the
+a row's label (the branch h_formula and cross_check report), the folded
+residues m and the prime classes (p mod 3 for M = 6, p mod 8 for M = 8) it
+serves, and the form n of p = x^2 + n*y^2 that supplies x (None when it
+reads none).  At import _ROWS[M, r] lays out the
 rows of prime class r: the forms they read and, for each m, the row serving
 m mod M (H_{m,M} = H_{-m,M} folded in) with its value as integers over one
 denominator D, which _class_layout derives from the identity.  _cells(M, p)
@@ -47,8 +48,6 @@ __all__ = [
     "FormulaResult",
     "h_formula",
     "cross_check",
-    "MOD6_BRANCHES",
-    "MOD8_BRANCHES",
     "FIRST_PRIME",
 ]
 
@@ -94,9 +93,6 @@ CASE_ROWS: dict[int, tuple[CaseRow, ...]] = {
         CaseRow("m=3,5 (8), p=1,3 (8)", (3,), (1, 3), 2),
     ),
 }
-
-MOD6_BRANCHES = tuple(row.label for row in CASE_ROWS[6])
-MOD8_BRANCHES = tuple(row.label for row in CASE_ROWS[8])
 
 # smallest prime each table applies to: p must not divide M
 FIRST_PRIME = {6: 5, 8: 3}

@@ -88,7 +88,8 @@ def _branch_weight(t: int, m: int, M: int) -> int:
 
 
 def mu_coeff(ell: int, a: int, b: int, M: int, n: int) -> int:
-    """mu_{ell,a,b,M}(n): literal scan over t > s >= 1 with t^2 - s^2 = 4n."""
+    """mu_{ell,a,b,M}(n): literal scan over t > s >= 1 with t^2 - s^2 = 4n.
+    Public as the tests' oracle for _mu_literal_rows; perfbench hooks it."""
     _check(ell, M)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -115,7 +116,8 @@ def mu_closed(ell: int, a: int, b: int, M: int, n: int) -> int:
     Valid for even M and gcd(n, M) = 1: zero when a or b is odd; for
     a = 2*a1, b = 2*b1 it is 2^ell times the sum of d^ell over divisors
     d | n with d < sqrt(n) and d = a1 - b1 (mod 2^(e-1) M1), provided
-    n = a1^2 - b1^2 (mod 2^f M1), and zero otherwise.
+    n = a1^2 - b1^2 (mod 2^f M1), and zero otherwise.  Public as the
+    tests' oracle for _mu_closed_rows; perfbench hooks it by name.
     """
     _check(ell, M)
     if M % 2:

@@ -8,8 +8,9 @@ integer operator pipeline, restricted-sum series one t-scan per
 coefficient instead of (H * theta_{m,M}) | U_4, lambda coefficients one n
 at a time from its divisors instead of one sweep over all factorizations,
 curve counts from every raw Weierstrass pair instead of one curve per
-j-invariant, primality from trial division, and representations
-p = x^2 + n*y^2 from a scan over y instead of Cornacchia.
+j-invariant, primality from trial division, representations
+p = x^2 + n*y^2 from a scan over y instead of Cornacchia, and the CM forms
+psi_k from a theta product instead of lattice enumeration.
 """
 from __future__ import annotations
 
@@ -137,6 +138,19 @@ def cauchy_naive(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
             if b[j]:
                 out[i + j] += a[i] * b[j]
     return out
+
+
+def theta_weighted(chi, precision: int) -> list[Fraction]:
+    """(1/2) sum over x in Z of chi(x) x q^(x^2), the first `precision` terms.
+
+    The weight-3/2 theta of an odd character chi; times theta | V_k it is
+    psi_k, the product construction that forms.psi_series is tested against.
+    """
+    num2 = [0] * precision  # twice the coefficients, to stay integral
+    xmax = isqrt(precision - 1)
+    for x in range(-xmax, xmax + 1):
+        num2[x * x] += chi(x) * x
+    return [Fraction(c, 2) for c in num2]
 
 
 def r2_lattice(n: int) -> int:

@@ -11,8 +11,8 @@ from math import gcd
 import pytest
 
 from hclassnum.eccount import verify_curve_counts
-from hclassnum.formulas import MOD6_BRANCHES, MOD8_BRANCHES, cross_check
-from hclassnum.forms import psi_series, theta0, theta_weighted
+from hclassnum.formulas import CASE_ROWS, cross_check
+from hclassnum.forms import psi_series, theta_mM
 from hclassnum.hurwitz import moment_sum, table_at_least
 from hclassnum.numtheory import (
     CHI_MINUS3,
@@ -23,7 +23,7 @@ from hclassnum.numtheory import (
 from hclassnum.qseries import QSeries
 from hclassnum.sums import lambda_series, lambda_u4_twist
 from hclassnum.verify import verify_lemmas, verify_mod6, verify_mod8
-from oracles import cauchy_naive
+from oracles import cauchy_naive, theta_weighted
 
 
 def _conclude(ok: bool, label: str) -> None:
@@ -72,8 +72,8 @@ def test_criterion_4_closed_forms_to_ten_thousand():
     elapsed = time.perf_counter() - start
     ok = (
         rep6.verdict and rep8.verdict
-        and set(rep6.details["branches_hit"]) == set(MOD6_BRANCHES)
-        and set(rep8.details["branches_hit"]) == set(MOD8_BRANCHES)
+        and set(rep6.details["branches_hit"]) == {row.label for row in CASE_ROWS[6]}
+        and set(rep8.details["branches_hit"]) == {row.label for row in CASE_ROWS[8]}
         and elapsed < 60.0
     )
     _conclude(ok, "criterion 4: closed forms equal brute force for every "
@@ -91,8 +91,8 @@ def test_criterion_5_cm_prefixes_and_product_construction():
     ok = True
     for (k, chi), golden in goldens.items():
         enum = psi_series(k, chi, prec)
-        product = theta_weighted(chi, prec) * theta0(prec).v_operator(k)
-        ok = ok and enum == product.truncate(prec)
+        theta_k = theta_mM(0, 1, prec).v_operator(k)
+        ok = ok and enum == QSeries(theta_weighted(chi, prec)) * theta_k
         for n in range(1, horizon[k]):
             ok = ok and enum[n] == golden.get(n, 0)
     _conclude(ok, "criterion 5: CM prefix goldens match and lattice "
@@ -102,9 +102,9 @@ def test_criterion_5_cm_prefixes_and_product_construction():
 def test_criterion_6_lemma_equivalences():
     report = verify_lemmas(600)
     zero_ok = all(
-        lambda_u4_twist(ell, m, M, 600).is_zero()
+        lambda_u4_twist(ell, m, M, 600) == QSeries.zero(600)
         and lambda_series(ell, m, M, 2400).u_operator(4).twist(
-            DirichletCharacter.principal(M)).is_zero()
+            DirichletCharacter.principal(M)) == QSeries.zero(600)
         for M in (6, 8)
         for ell in (0, 1, 3)
         for m in range(1, M, 2)
@@ -173,7 +173,7 @@ def test_criterion_9_operator_property_suite():
         assert sieved.sieve(m, r) == sieved
         cases += 1
         if m > 1:
-            assert sieved.sieve(m, r + 1).is_zero()
+            assert sieved.sieve(m, r + 1) == QSeries.zero(f.precision)
             cases += 1
 
         chi0 = DirichletCharacter.principal(m)

@@ -187,14 +187,12 @@ def test_verify_all_default_invocation(capsys):
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
-    import hclassnum.cli as cli
-
     def broken(pmax):
         from hclassnum.reporting import CheckReport
         return CheckReport(name="broken", checked=1,
                            mismatches=[("x", 1, 2)])
 
-    monkeypatch.setattr(cli.verify, "verify_classical", broken)
+    monkeypatch.setattr("hclassnum.verify.verify_classical", broken)
     code, out, _ = invoke(capsys, "verify", "--suite", "classical")
     assert code == 1
     assert "VERIFICATION FAILED" in out

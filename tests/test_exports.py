@@ -11,8 +11,9 @@ SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(hclassnum.__path_
 # names deleted from the public API, by the module that used to define them
 REMOVED = {
     "hurwitz": ("HurwitzTable", "restricted_series"),
-    "formulas": ("h_mod6", "h_mod8"),
+    "formulas": ("h_mod6", "h_mod8", "MOD6_BRANCHES", "MOD8_BRANCHES"),
     "eccount": ("TraceDistribution",),
+    "forms": ("theta0", "theta_weighted"),
 }
 
 
@@ -41,3 +42,8 @@ def test_removed_names_stay_absent():
             assert not hasattr(hclassnum, name), name
             assert name not in hclassnum.__all__, name
             assert not hasattr(mod, name), (module, name)
+
+
+def test_removed_series_methods_stay_absent():
+    for name in ("truncate", "is_zero"):
+        assert not hasattr(hclassnum.QSeries, name), name

@@ -3,14 +3,7 @@ from math import isqrt
 
 import pytest
 
-from hclassnum.forms import (
-    d_series,
-    e2_series,
-    psi_series,
-    theta0,
-    theta_mM,
-    theta_weighted,
-)
+from hclassnum.forms import d_series, e2_series, psi_series, theta_mM
 from hclassnum.numtheory import (
     CHI_MINUS3,
     CHI_MINUS4,
@@ -21,6 +14,7 @@ from hclassnum.numtheory import (
     represent,
 )
 from hclassnum.qseries import QSeries
+from oracles import theta_weighted
 
 
 def test_theta_pinned_values():
@@ -44,10 +38,6 @@ def test_theta_pinned_values():
                     if (x - m) % M == 0:
                         count[x * x] += 1
                 assert list(theta_mM(m, M, precision)) == count, (m, M, precision)
-
-
-def test_theta0_is_unrestricted_theta():
-    assert theta0(50) == theta_mM(0, 1, 50)
 
 
 def test_theta_weighted_small():
@@ -82,8 +72,8 @@ def test_psi_leading_coefficient_is_one():
 def test_psi_enumeration_equals_theta_product(prec):
     for k, chi in ((3, CHI_MINUS3), (4, CHI_MINUS4), (2, CHI_MINUS4)):
         enum = psi_series(k, chi, prec)
-        product = theta_weighted(chi, prec) * theta0(prec).v_operator(k)
-        assert enum == product.truncate(prec)
+        theta_k = theta_mM(0, 1, prec).v_operator(k)
+        assert enum == QSeries(theta_weighted(chi, prec)) * theta_k
 
 
 def test_psi_at_primes_is_the_hecke_character():

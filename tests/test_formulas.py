@@ -8,8 +8,6 @@ from hclassnum import formulas
 from hclassnum.formulas import (
     CASE_ROWS,
     FIRST_PRIME,
-    MOD6_BRANCHES,
-    MOD8_BRANCHES,
     cross_check,
     h_formula,
 )
@@ -17,6 +15,11 @@ from hclassnum.hurwitz import moment_sum
 from hclassnum.numtheory import CHI_MINUS3, CHI_MINUS4, primes_up_to, represent
 from hclassnum.sums import lambda_u4_twist
 from hclassnum.verify import MOD6_IDENTITIES, MOD8_IDENTITIES
+
+
+def branches(M):
+    """The branch labels of the modulus-M table, in its printed order."""
+    return tuple(row.label for row in CASE_ROWS[M])
 
 
 def test_mod6_pinned_values():
@@ -91,10 +94,10 @@ def test_residue_classes_sum_to_eichler():
 def test_branch_coverage_by_200():
     hit6 = {h_formula(6, p, m).branch for p in primes_up_to(200) if p >= 5
             for m in range(6)}
-    assert hit6 == set(MOD6_BRANCHES)
+    assert hit6 == set(branches(6))
     hit8 = {h_formula(8, p, m).branch for p in primes_up_to(200) if p >= 3
             for m in range(8)}
-    assert hit8 == set(MOD8_BRANCHES)
+    assert hit8 == set(branches(8))
 
 
 def test_character_term_sign_invariance():
@@ -152,7 +155,7 @@ def test_each_residue_and_prime_class_is_served_by_one_row():
                 assert len(serving) == 1, (M, m, r, serving)
                 forms, layout = formulas._ROWS[M, r]
                 assert layout[m][0] is serving[0], (M, m, r)
-    assert set(PRINTED_ROWS) == set(MOD6_BRANCHES + MOD8_BRANCHES)
+    assert set(PRINTED_ROWS) == set(branches(6) + branches(8))
     # the integers derived for each slot are its printed row's value
     for forms, layout in formulas._ROWS.values():
         assert forms == tuple(sorted({row.form for row, *_ in layout} - {None}))
@@ -227,7 +230,7 @@ def test_case_rows_follow_from_the_identities():
 
 def test_branch_labels_keep_their_printed_order():
     # cross_check's "branches_expected" lists them in this order
-    assert MOD6_BRANCHES == (
+    assert branches(6) == (
         "m=0 (6), p=1 (3)",
         "m=0 (6), p=2 (3)",
         "m=1,5 (6), p=1 (3)",
@@ -236,7 +239,7 @@ def test_branch_labels_keep_their_printed_order():
         "m=2,3,4 (6), p=2 (3)",
         "m=3 (6), p=1 (3)",
     )
-    assert MOD8_BRANCHES == (
+    assert branches(8) == (
         "m=0 (8), p=1 (4)",
         "m=0 (8), p=3 (8)",
         "m=0 (8), p=7 (8)",
