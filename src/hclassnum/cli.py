@@ -46,15 +46,17 @@ _VERIFY_MIN_PMAX = {"classical": 2, "all": 2, "ec": 5}
 #
 # largest H-table limit: hurwitz-table --limit, and at most 4*pmax + 1 for
 # cross-check and the classical suite.  cross-check --modulus 8 --pmax 10^5
-# takes 1.4-1.9 s (29 MB), hurwitz-table --limit 400001 1.8-1.9 s (84-87 MB);
-# the table build alone takes 1.3 s at 4*10^5 and 5.1 s at 8*10^5
+# takes 1.6-2.1 s (31 MB; tests/test_cli_caps.py runs it and holds it under
+# 48 MB), hurwitz-table --limit 400001 1.8-1.9 s (84-87 MB); the table build
+# alone takes 1.3 s at 4*10^5 and 5.1 s at 8*10^5
 _TABLE_MAX = 400_001
 _TABLE_MAX_PMAX = (_TABLE_MAX - 1) // 4
 # largest series precision: qexp --terms, lattice-sum --terms, and the
 # product (H * theta) | U_4 of the identity suites, which has
-# 4*overshoot*bound + 1 terms.  At 10^5 terms qexp --form psi3 takes 0.24 s
-# (31 MB) and verify --suite mod6 --overshoot 260 1.0-1.2 s (23 MB); at
-# twice the precision they take 0.37 s and 3.2 s
+# 4*overshoot*bound + 1 terms.  At 10^5 terms qexp --form psi3 takes
+# 0.21-0.35 s (32 MB; tests/test_cli_caps.py runs it and holds it under
+# 48 MB) and verify --suite mod6 --overshoot 260 1.0-1.2 s (23 MB); at twice
+# the precision they take 0.37 s and 3.2 s
 _SERIES_MAX = 100_000
 # largest moment exponent of lattice-sum --ell; the paper and the lemma
 # suite use ell <= 3.  At --terms 10^5 and modulus 1 lambda takes 0.44 s

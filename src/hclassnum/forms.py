@@ -47,9 +47,10 @@ def theta_mM(m: int, M: int, precision: int) -> QSeries:
 def psi_series(k: int, chi: DirichletCharacter, precision: int) -> QSeries:
     """(1/2) sum_n psi_k(chi, n) q^n with psi_k(chi,n) = sum_{x^2+ky^2=n} chi(x) x.
 
-    The sum runs over all integer pairs (x, y); chi must be odd so the two
-    signs of x reinforce instead of cancel, and the leading coefficient
-    (at q) is 1.  Computed by enumerating the lattice points (x, y).
+    The sum runs over all integer pairs (x, y); chi must be odd, so x and -x
+    add the same chi(x)*x and the coefficient is the sum over x >= 1 alone.
+    The leading coefficient (at q) is 1.  Computed by enumerating the
+    lattice points (x, y).
     """
     if k < 2:
         raise ValueError("form coefficient k must be >= 2")
@@ -57,17 +58,16 @@ def psi_series(k: int, chi: DirichletCharacter, precision: int) -> QSeries:
         raise ValueError("psi_series needs an odd character")
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    num2 = [0] * precision  # accumulate twice the coefficients to stay integral
-    xmax = isqrt(precision - 1)
-    for x in range(-xmax, xmax + 1):
+    nums = [0] * precision
+    for x in range(1, isqrt(precision - 1) + 1):
         cx = chi(x) * x
         if not cx:
             continue
         xx = x * x
         ymax = isqrt((precision - 1 - xx) // k)
         for y in range(-ymax, ymax + 1):
-            num2[xx + k * y * y] += cx
-    return QSeries._from_numerators(num2, 2)
+            nums[xx + k * y * y] += cx
+    return QSeries._from_numerators(nums)
 
 
 # the odd character of each CM form psi_k = psi_series(k, CM_CHARACTER[k])

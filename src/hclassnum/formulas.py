@@ -10,23 +10,24 @@ CASE_ROWS[M] holds the printed rows, seven for M = 6 and eleven for M = 8:
 a row's label (the branch h_formula and cross_check report), the folded
 residues m and the prime classes (p mod 3 for M = 6, p mod 8 for M = 8) it
 serves, and the form n of p = x^2 + n*y^2 that supplies x (None when it
-reads none).  At import _ROWS[M, r] lays out the
-rows of prime class r: the forms they read and, for each m, the row serving
-m mod M (H_{m,M} = H_{-m,M} folded in) with its value as integers over one
-denominator D, which _class_layout derives from the identity.  _cells(M, p)
-evaluates every m at once, calling represent once for each form and reading
-chi(x) from the character's table of values over one period; h_formula
-returns its cell m mod M.  CaseRow and FormulaResult are typing.NamedTuple
-records, so they also compare equal to plain tuples of their fields.
+reads none).  At import _ROWS[M, r] lays out the rows of prime class r: the
+forms they read and, for each m, the row serving m mod M (H_{m,M} =
+H_{-m,M} folded in) with its value (A*p + B + K*chi(x)*x) / D as integers,
+which _class_layout derives from the identity.  h_formula evaluates the one
+row serving (m, p), with x from represent (Cornacchia's algorithm), since a
+single p runs far past any series.  CaseRow and FormulaResult are
+typing.NamedTuple records, so they also compare equal to plain tuples of
+their fields.
 
 Values are exact rationals; thirds and halves are legitimate because class
 numbers carry them.  cross_check checks every (prime, residue) pair against
-the brute-force t-scan, one prime at a time and in integers: the sieve's
-primes are not tested again, one _cells call gives all M closed-form values,
-hurwitz._residue_sums12 all M sums 12*H_{m,M}(p) from one C-level gather,
-and a cell holds when 12 * numerator = 12*H_{m,M}(p) * D.  Fractions are
-built only for a mismatch and for the first cell of each row, which the
-scalar paths h_formula and moment_sum recompute and must agree with.
+the brute-force t-scan, one prime at a time and in integers: chi(x)*x =
+psi_k(p)/2 comes off each CM series psi_k the rows read, built once up to
+p_max, so no sieved prime is tested or represented again, and
+hurwitz._residue_sums12 gives all M sums 12*H_{m,M}(p) from one C-level
+gather.  Fractions are built only for a mismatch and for the first cell of
+each row, which the scalar paths h_formula (Cornacchia) and moment_sum (a
+t-scan) recompute independently and must agree with.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from itertools import count
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .forms import CM_CHARACTER
+from .forms import CM_CHARACTER, psi_series
 from .hurwitz import _residue_sums12, moment_sum
 from .numtheory import PrimeRepresentation, is_prime, primes_up_to, represent
 from .reporting import CheckReport
@@ -110,7 +111,7 @@ _LAMBDA = {(M, spec.m): lambda_u4_twist(1, spec.m, M, max(_CLASS_PRIME.values())
 
 
 def _class_layout(M: int, r: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """The rows of CASE_ROWS[M] at primes of class r, as _cells reads them:
+    """The rows of CASE_ROWS[M] at primes of class r:
     the forms n of x^2 + n*y^2 they read, and per m the serving row with
     the integers (A, B, K, D) of its value (A*p + B + K*chi(x)*x) / D.
 
@@ -141,44 +142,26 @@ def _class_layout(M: int, r: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
 
 
 _ROWS = {key: _class_layout(*key) for key in _CLASS_PRIME}
-# chi(0), ..., chi(period - 1) of each form's character, so chi(x) is one index
-_CHI_VALUES = {n: chi.residue_values() for n, chi in CM_CHARACTER.items()}
 
 
 def h_formula(M: int, p: int, m: int) -> FormulaResult:
     """H_{m,M}(p) for M = 6 (primes p >= 5) or M = 8 (primes p >= 3).
 
-    The character chi of the form x^2 + n*y^2 is forms.CM_CHARACTER[n],
-    the one paired with the CM form psi_n; chi(x)*x does not depend on the
-    sign of x because every character there is odd.
+    Evaluates the one row serving (m, p).  When the row reads a form
+    x^2 + n*y^2, represent solves p = x^2 + n*y^2 by Cornacchia's algorithm
+    and chi(x) comes from forms.CM_CHARACTER[n], the character paired with
+    the CM form psi_n; chi(x)*x does not depend on the sign of x because
+    every character there is odd.
     """
     if M not in CASE_ROWS:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
     if p < FIRST_PRIME[M] or not is_prime(p):
         raise ValueError(f"H_(m,{M})(p) needs a prime p >= {FIRST_PRIME[M]}")
-    row, rep, num, den = _cells(M, p)[m % M]
-    return FormulaResult(value=Fraction(num, den), branch=row.label,
+    row, a, b, k, d = _ROWS[M, p % _PRIME_CLASS_MODULUS[M]][1][m % M]
+    rep = represent(p, row.form) if row.form else None
+    chi_x = CM_CHARACTER[row.form](rep.x) * rep.x if row.form else 0
+    return FormulaResult(value=Fraction(a * p + b + k * chi_x, d), branch=row.label,
                          representation=rep)
-
-
-def _cells(M: int, p: int) -> list[tuple[CaseRow, PrimeRepresentation | None, int, int]]:
-    """For each m in range(M): the row serving (m, p), its representation,
-    and H_{m,M}(p) as an integer numerator over the row's denominator D.
-
-    p must already be known to be a prime that h_formula accepts.  represent
-    runs once for each form that the rows of p's class read.
-    """
-    forms, layout = _ROWS[M, p % _PRIME_CLASS_MODULUS[M]]
-    reps: dict[int, tuple[PrimeRepresentation, int]] = {}
-    for n in forms:
-        found = represent(p, n)
-        chi = _CHI_VALUES[n]
-        reps[n] = found, chi[found.x % len(chi)] * found.x
-    cells = []
-    for row, a, b, k, d in layout:
-        rep, chi_x = reps.get(row.form, (None, 0))
-        cells.append((row, rep, a * p + b + k * chi_x, d))
-    return cells
 
 
 def cross_check(M: int, p_max: int) -> CheckReport:
@@ -190,23 +173,31 @@ def cross_check(M: int, p_max: int) -> CheckReport:
     if M not in CASE_ROWS:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
     primes = [p for p in primes_up_to(p_max) if p >= FIRST_PRIME[M]]
+    q = _PRIME_CLASS_MODULUS[M]
+    # chi(x)*x = psi_k(p)/2 at p = x^2 + k*y^2, off the CM series the identities read
+    psi = {n: psi_series(n, CM_CHARACTER[n], max(p_max, 0) + 1)
+           for n in {row.form for row in CASE_ROWS[M]} - {None}}
     mismatches: list[tuple] = []
     branches: set[str] = set()
     checked = 0
     for p, sums12 in zip(primes, _residue_sums12(M, primes)):
-        cells = zip(_cells(M, p), sums12)
-        for m, ((row, rep, num, den), brute12) in enumerate(cells):
+        forms, layout = _ROWS[M, p % q]
+        chi_x = {n: psi[n][p] / 2 for n in forms}
+        for m, ((row, a, b, k, d), brute12) in enumerate(zip(layout, sums12)):
             checked += 1
+            # (a*p + b + k*c) / d as integers num / den; c is 0 (an int) off the forms
+            c = chi_x.get(row.form, 0)
+            num, den = (a * p + b) * c.denominator + k * c.numerator, d * c.denominator
             if 12 * num != brute12 * den:
                 mismatches.append((p, m, Fraction(num, den), Fraction(brute12, 12),
                                    row.label))
             if row.label not in branches:
                 branches.add(row.label)
-                # the row's first cell, again by the scalar paths
+                # the row's first cell, again by the scalar paths: Cornacchia
+                # against the psi lattice sum, one t-scan against the gather
                 scalar = h_formula(M, p, m)
                 scalar_brute = moment_sum(0, m, M, p)
-                if ((scalar.value, scalar.branch, scalar.representation)
-                        != (Fraction(num, den), row.label, rep)
+                if ((scalar.value, scalar.branch) != (Fraction(num, den), row.label)
                         or scalar_brute != Fraction(brute12, 12)):
                     mismatches.append((p, m, scalar.value, scalar_brute, scalar.branch))
     expected = [row.label for row in CASE_ROWS[M]]

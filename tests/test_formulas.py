@@ -11,8 +11,10 @@ from hclassnum.formulas import (
     cross_check,
     h_formula,
 )
+from hclassnum.forms import psi_series
 from hclassnum.hurwitz import moment_sum
 from hclassnum.numtheory import CHI_MINUS3, CHI_MINUS4, primes_up_to, represent
+from hclassnum.qseries import QSeries
 from hclassnum.sums import lambda_u4_twist
 from hclassnum.verify import MOD6_IDENTITIES, MOD8_IDENTITIES
 
@@ -165,9 +167,8 @@ def test_each_residue_and_prime_class_is_served_by_one_row():
                 (Fraction(pa, pc), Fraction(pb, pc), chi_coeff), row.label
 
 
-@pytest.mark.parametrize("M,p,forms", [(8, 17, [2, 4]), (8, 13, [4]), (8, 11, [2]),
-                                       (8, 7, []), (6, 7, [3]), (6, 5, [])])
-def test_cells_represent_each_form_of_the_class_once(M, p, forms, monkeypatch):
+@pytest.mark.parametrize("M,p", [(8, 17), (8, 13), (8, 11), (8, 7), (6, 7), (6, 5)])
+def test_h_formula_represents_once_when_its_row_reads_a_form(M, p, monkeypatch):
     calls = []
 
     def counting_represent(q, n):
@@ -175,11 +176,58 @@ def test_cells_represent_each_form_of_the_class_once(M, p, forms, monkeypatch):
         return represent(q, n)
 
     monkeypatch.setattr(formulas, "represent", counting_represent)
-    cells = formulas._cells(M, p)
-    assert sorted(calls) == [(p, n) for n in forms]
-    class_forms, layout = formulas._ROWS[M, p % formulas._PRIME_CLASS_MODULUS[M]]
-    assert class_forms == tuple(forms)
-    assert [row for row, *_ in cells] == [row for row, *_ in layout]
+    layout = formulas._ROWS[M, p % formulas._PRIME_CLASS_MODULUS[M]][1]
+    for m in range(M):
+        calls.clear()
+        result = h_formula(M, p, m)
+        form = layout[m][0].form
+        # the k = 0 row "m=2,6 (8), p=1 (4)" reads x^2 + 4y^2 too, for --explain
+        assert calls == ([(p, form)] if form else []), (m, calls)
+        assert result.representation == (represent(p, form) if form else None)
+
+
+@pytest.mark.parametrize("M", [6, 8])
+def test_cross_check_represents_only_in_the_recheck(M, monkeypatch):
+    rechecks, running, calls = [], [], []
+    scalar = formulas.h_formula
+
+    def recheck(modulus, p, m):
+        rechecks.append(p)
+        running.append(p)
+        try:
+            return scalar(modulus, p, m)
+        finally:
+            running.pop()
+
+    def counting_represent(q, n):
+        calls.append((q, running[-1] if running else None))
+        return represent(q, n)
+
+    monkeypatch.setattr(formulas, "h_formula", recheck)
+    monkeypatch.setattr(formulas, "represent", counting_represent)
+    report = cross_check(M, 5000)
+    assert report.verdict and report.details["branch_coverage_complete"]
+    assert len(rechecks) == len(CASE_ROWS[M])
+    assert 0 < len(calls) <= len(CASE_ROWS[M])
+    assert all(q == p for q, p in calls), calls
+
+
+@pytest.mark.parametrize("M,form,p_wrong", [(6, 3, 7), (6, 3, 4999), (8, 4, 101),
+                                            (8, 2, 107), (8, 2, 4993)])
+def test_a_wrong_psi_coefficient_is_flagged_at_its_prime_only(M, form, p_wrong,
+                                                              monkeypatch):
+    # chi(x)*x comes off psi_k in the sweep and off Cornacchia in the
+    # recheck; a psi_k off by one at one prime shows there and nowhere else
+    def wrong_psi(k, chi, precision):
+        series = psi_series(k, chi, precision)
+        if k != form:
+            return series
+        return QSeries([c + (n == p_wrong) for n, c in enumerate(series.coeffs)])
+
+    monkeypatch.setattr(formulas, "psi_series", wrong_psi)
+    report = cross_check(M, 5000)
+    assert not report.verdict
+    assert {bad[0] for bad in report.mismatches} == {p_wrong}
 
 
 def test_case_rows_follow_from_the_identities():
