@@ -41,26 +41,29 @@ _VERIFY_MIN_PMAX = {"classical": 2, "all": 2, "ec": 5}
 # Above the caps below a size argument is refused with exit 2.  Times are
 # wall clock for one request at the cap, in a fresh process on the same host
 # as above, with JSON output to /dev/null and peak RSS from os.wait4 (medians
-# of 7; python -c pass alone takes 0.04-0.05 s and 13 MB there); none needs
-# more than 110 MB resident.
+# of 7; python -c pass alone takes 0.04-0.07 s and 13 MB there); none needs
+# more than 64 MB resident.  tests/test_cli_caps.py runs the requests marked
+# "tested" at their caps and holds each under the bound it quotes.
 #
 # largest H-table limit: hurwitz-table --limit, and at most 4*pmax + 1 for
 # cross-check and the classical suite.  cross-check --modulus 8 --pmax 10^5
-# takes 1.6-2.1 s (31 MB; tests/test_cli_caps.py runs it and holds it under
-# 48 MB), hurwitz-table --limit 400001 1.8-1.9 s (84-87 MB); the table build
-# alone takes 1.3 s at 4*10^5 and 5.1 s at 8*10^5
+# takes 1.3-1.7 s (30 MB; tested under 48 MB), hurwitz-table --limit 400001
+# 1.6-2.8 s (29 MB in text, tested under 48 MB; 54 MB in JSON, tested under
+# 64 MB); the table build alone takes 1.0-1.3 s at 4*10^5 and 5.1 s at
+# 8*10^5
 _TABLE_MAX = 400_001
 _TABLE_MAX_PMAX = (_TABLE_MAX - 1) // 4
 # largest series precision: qexp --terms, lattice-sum --terms, and the
 # product (H * theta) | U_4 of the identity suites, which has
 # 4*overshoot*bound + 1 terms.  At 10^5 terms qexp --form psi3 takes
-# 0.21-0.35 s (32 MB; tests/test_cli_caps.py runs it and holds it under
-# 48 MB) and verify --suite mod6 --overshoot 260 1.0-1.2 s (23 MB); at twice
-# the precision they take 0.37 s and 3.2 s
+# 0.22-0.34 s (23 MB; tested under 48 MB) and verify --suite mod6
+# --overshoot 260 1.0-1.2 s (23 MB); at twice the precision they take 0.37 s
+# and 3.2 s
 _SERIES_MAX = 100_000
 # largest moment exponent of lattice-sum --ell; the paper and the lemma
-# suite use ell <= 3.  At --terms 10^5 and modulus 1 lambda takes 0.44 s
-# (64 MB) and mu 0.47 s (94 MB); mu needs 149 MB at ell = 150
+# suite use ell <= 3.  At --terms 10^5 and modulus 1 lambda takes 0.6-0.7 s
+# (39 MB) and mu 0.4-0.7 s (60 MB; tested under 72 MB); mu needs 93 MB at
+# ell = 150
 _ELL_MAX = 80
 # largest coefficient range of the lemma suite (verify --pmax with --suite
 # lemmas or all): verify --suite lemmas takes 0.3-0.4 s and 23 MB at 4000,
@@ -80,9 +83,10 @@ def canonical_json(payload: dict) -> str:
 def _emit(args: argparse.Namespace, result, reports: list[dict],
           text_lines: list[str]) -> None:
     if args.format == "json":
-        print(canonical_json(
-            {"command": args.command, "result": result, "reports": reports}
-        ))
+        # the bytes of print(canonical_json(...)), written as they are made
+        json.dump({"command": args.command, "result": result, "reports": reports},
+                  sys.stdout, indent=2)
+        sys.stdout.write("\n")
     else:
         for line in text_lines:
             print(line)
@@ -90,12 +94,14 @@ def _emit(args: argparse.Namespace, result, reports: list[dict],
 
 def _emit_series(args: argparse.Namespace, series: QSeries) -> None:
     """The coefficients: in JSON as Fraction strings, in text one
-    "n:numerator/denominator" line each, denominator always written."""
+    "n:numerator/denominator" line each, denominator always written.  The
+    Fractions are made one at a time and the output is written as it is
+    made, never held as one document."""
     if args.format == "json":
         _emit(args, series.to_strings(), [], [])
     else:
-        print("\n".join(f"{n}:{c.numerator}/{c.denominator}"
-                        for n, c in enumerate(series.coeffs)))
+        sys.stdout.writelines(f"{n}:{c.numerator}/{c.denominator}\n"
+                              for n, c in enumerate(series))
 
 
 def build_parser() -> argparse.ArgumentParser:

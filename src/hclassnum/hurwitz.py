@@ -9,17 +9,19 @@ H(n) = 0 unless n = 0 or n = 0, 3 (mod 4).
 The table builder counts each reduced form (a, b, c), meaning
 -a < b <= a <= c with b >= 0 when a = c, exactly once.  That enumeration
 hits imprimitive forms too, so no class-number formula fix-ups are needed,
-and 12*H(n) is an integer, so the table is the tuple of the integers
-12*H(n) for n < len(table).  For fixed a and b the forms with c > a sit at
-n = 4ac - b^2, one tail of stride 4a starting at 4a(a + 1) - b^2.  Tails
-whose b^2 agree mod 4a share a column n = -b^2 (mod 4a); the builder merges
-them, so each column is walked once, in runs between consecutive tail
-starts, each run one slice of the table rebuilt with the weight of the tails
-begun so far.  At limit 2*10^5 that is 5.7M element updates, all inside
-list comprehensions, against 8.0M single-element statements for one walk
-per tail.  A single H(n) that the shared table does not cover walks only
-the reduced forms of discriminant -n (Cohen, GTM 138, Algorithm 5.3.5):
-O(n) time, and the table is left as it is.
+and 12*H(n) is an integer, so the table is a read-only memoryview of the C
+ints 12*H(n) for n < len(table): array raises OverflowError rather than
+wrap, so it is exact, and every reader indexes or slices it in place.  For
+fixed a and b the forms with c > a sit at n = 4ac - b^2, one tail of stride
+4a starting at 4a(a + 1) - b^2.  Tails whose b^2 agree mod 4a share a column
+n = -b^2 (mod 4a); the builder merges them, so each column is walked once,
+in runs between consecutive tail starts, each run one slice of the table
+rebuilt with the weight of the tails begun so far.  At limit 2*10^5 that is
+5.7M element updates, all inside list comprehensions, against 8.0M
+single-element statements for one walk per tail.  A single H(n) that the
+shared table does not cover walks only the reduced forms of discriminant -n
+(Cohen, GTM 138, Algorithm 5.3.5): O(n) time, and the table is left as it
+is.
 
 The restricted sums are
 
@@ -28,14 +30,13 @@ The restricted sums are
 with H_{m,M} = H_{0,m,M}.  moment_sum computes one of them by a direct
 t-scan over the table.  The sweeps over primes need every m at once:
 _residue_sums12 yields, for each n of an increasing list, all M sums as the
-integers 12*H_{m,M}(n).  It copies the table once into a C array, and for
-each n one operator.itemgetter of the squares t^2 applied to the reversed
-memoryview view[4n::-1] returns every value 12*H(4n - t^2) as one tuple,
-built in C with no interpreter step per t.  The q-expansion
-sum_n H_{m,M}(n) q^n is built once, by the operator pipeline
-(hurwitz_series * theta_{m,M}) | U_4 in verify.identity_lhs; a test oracle
-in tests/oracles.py rebuilds it term by term from moment_sum, and the tests
-compare the two.
+integers 12*H_{m,M}(n).  For each n one operator.itemgetter of the squares
+t^2 applied to the reversed view table[4n::-1] returns every value
+12*H(4n - t^2) as one tuple, built in C with no interpreter step per t.
+The q-expansion sum_n H_{m,M}(n) q^n is built once, by the operator
+pipeline (hurwitz_series * theta_{m,M}) | U_4 in verify.identity_lhs; a test
+oracle in tests/oracles.py rebuilds it term by term from moment_sum, and the
+tests compare the two.
 """
 from __future__ import annotations
 
@@ -56,8 +57,9 @@ __all__ = [
 ]
 
 
-def build_table(limit: int) -> tuple[int, ...]:
-    """The tuple of 12*H(n) for all n < limit, from one reduced-form sweep."""
+def build_table(limit: int) -> memoryview:
+    """12*H(n) for all n < limit, from one reduced-form sweep, as a
+    read-only memoryview of C ints."""
     if limit < 1:
         raise ValueError("table limit must be >= 1")
     v = [0] * limit
@@ -89,13 +91,13 @@ def build_table(limit: int) -> tuple[int, ...]:
             for (start, w), end in zip(tails, ends):
                 weight += w
                 v[start:end:step] = [x + weight for x in v[start:end:step]]
-    return tuple(v)
+    return memoryview(array("i", v)).toreadonly()
 
 
 _table = build_table(1)
 
 
-def table_at_least(limit: int) -> tuple[int, ...]:
+def table_at_least(limit: int) -> memoryview:
     """Shared table of 12*H(n) covering at least [0, limit); grown on demand."""
     global _table
     if len(_table) < limit:
@@ -167,17 +169,16 @@ def moment_sum(kappa: int, m: int, M: int, n: int) -> Fraction:
 def _residue_sums12(M: int, ns: Sequence[int]) -> Iterator[list[int]]:
     """[12*H_{m,M}(n) for m in range(M)] for each n of the increasing ns.
 
-    The table is copied once per call into a C array (array raises
-    OverflowError rather than wrap, so the copy is exact), and view[4n::-1]
-    is a view with w[j] = 12*H(4n - j).  One itemgetter of the squares t^2,
-    0 <= t <= sqrt(4n), reads all the values 12*H(4n - t^2) of an n as one
-    tuple, built in C; the getter is rebuilt only when sqrt(4n) passes a
-    new integer.  Class r of t >= 0 is one slice of the values, and -t
-    falls in class -r, so every residue costs one slice sum.
+    table[4n::-1] is a view with w[j] = 12*H(4n - j).  One itemgetter of
+    the squares t^2, 0 <= t <= sqrt(4n), reads all the values
+    12*H(4n - t^2) of an n as one tuple, built in C; the getter is rebuilt
+    only when sqrt(4n) passes a new integer.  Class r of t >= 0 is one
+    slice of the values, and -t falls in class -r, so every residue costs
+    one slice sum.
     """
     if not ns:
         return
-    view = memoryview(array("i", table_at_least(4 * ns[-1] + 1)))
+    table = table_at_least(4 * ns[-1] + 1)
     k = 0
     for n in ns:
         four_n = 4 * n
@@ -186,7 +187,7 @@ def _residue_sums12(M: int, ns: Sequence[int]) -> Iterator[list[int]]:
             # itemgetter of one index returns a scalar; at n = 0 the
             # reversed view holds just 12*H(0)
             gather = itemgetter(*[t * t for t in range(k)]) if k > 1 else tuple
-        vals = gather(view[four_n::-1])
+        vals = gather(table[four_n::-1])
         half = [sum(vals[r::M]) for r in range(M)]
         # t = 0 is its own negative, so class 0 must not count it twice
         sums = [half[m] + half[-m % M] for m in range(M)]

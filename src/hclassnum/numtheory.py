@@ -35,22 +35,6 @@ __all__ = [
 # a strong pseudoprime to all twelve, so is_prime refuses it and beyond.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BELOW = 318665857834031151167461
-# (psi_k, k): the first k primes are proven as witnesses below psi_k, the
-# least strong pseudoprime to all of them (Jaeschke, Math. Comp. 1993, for
-# k <= 8; Jiang and Deng, Math. Comp. 2014, for 9 <= k <= 11; Sorenson and
-# Webster for k = 12).  psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so
-# k = 8, 10 and 11 would add a witness for nothing.
-_MR_BOUNDS = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
-    (_MR_PROVEN_BELOW, 12),
-)
 
 
 def is_prime(n: int) -> bool:
@@ -58,7 +42,7 @@ def is_prime(n: int) -> bool:
 
     Raises ValueError for larger n, where the witness set is not proven.
     Trial division by the twelve witnesses comes first; Miller-Rabin then
-    runs only the first k of them, the fewest proven for n.
+    runs with all twelve of them.
     """
     if n >= _MR_PROVEN_BELOW:
         raise ValueError(f"is_prime is proven only below {_MR_PROVEN_BELOW}")
@@ -70,8 +54,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    k = next(k for bound, k in _MR_BOUNDS if n < bound)
-    for a in _MR_WITNESSES[:k]:
+    for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -101,14 +101,14 @@ class QSeries:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        den = self._den
-        return tuple(Fraction(c, den) for c in self._nums)
+        return tuple(self)
 
     def __len__(self) -> int:
         return len(self._nums)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.coeffs)
+        """The coefficients as Fractions, made one at a time."""
+        return map(Fraction, self._nums, repeat(self._den))
 
     def __getitem__(self, n: int) -> Fraction:
         if not isinstance(n, int):
@@ -239,4 +239,4 @@ class QSeries:
 
     def to_strings(self) -> list[str]:
         """Canonical rational strings: "p/q", or just "p" for integers."""
-        return [str(c) for c in self.coeffs]
+        return [str(c) for c in self]

@@ -1,15 +1,18 @@
 """Caps as checked facts: a capped request answers in bounded time and memory
 at its cap, and one step past the cap is refused with exit 2.
 
-Each request runs in a fresh grandchild with its JSON sent to /dev/null.  A
+Each request runs in a fresh grandchild with its output sent to /dev/null.  A
 small Python process forks it, sets its limits, and reads its peak RSS from
 os.wait4.  The fork goes through that small process because a child's
 ru_maxrss also counts the resident size of the process it was forked from,
 so a fork from the test runner would report the runner's own memory.  The
 limits bind the grandchild only.
 
-Only the caps that the closed-form sweep and the CM series touch run here;
-src/hclassnum/cli.py quotes these runs next to _TABLE_MAX and _SERIES_MAX.
+The caps that run here are the H-table limit (through cross-check and
+hurwitz-table), the series precision (through qexp) and the lattice-sum
+moment exponent (through mu, the variant that needs the most memory);
+src/hclassnum/cli.py quotes these runs next to _TABLE_MAX, _SERIES_MAX and
+_ELL_MAX.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# generous: the runs below take about 2 s and 0.3 s on a 2-core x86-64 host
+# generous: each run below takes at most about 3 s on a 2-core x86-64 host
 TIMEOUT_S = 60
 # address space of the grandchild, far above what any capped request needs
 ADDRESS_SPACE = 2**30
@@ -51,20 +54,33 @@ def run_capped(argv: list[str]) -> tuple[int, float]:
     return int(code), int(maxrss_kb) / 1024
 
 
+_MU = ["lattice-sum", "--variant", "mu", "--modulus", "1", "--a", "0", "--b", "0",
+       "--terms", "100000"]
+
 # (request at its cap, the same request one step past it, peak RSS bound in
-# MB); both peaked at about 31 MB, against 13 MB for python -c pass
+# MB); python -c pass alone peaks at about 13 MB.  cross-check and qexp
+# peaked at 30 and 23 MB; hurwitz-table at 29 MB in text and 54 MB in JSON,
+# and mu at 60 MB, where a printer that held the whole answer as one
+# document before writing it peaked at 75, 84 and 95 MB
 CAPS = [
-    (["cross-check", "--modulus", "8", "--pmax", "100000"],
-     ["cross-check", "--modulus", "8", "--pmax", "100001"], 48),
-    (["qexp", "--form", "psi3", "--terms", "100000"],
-     ["qexp", "--form", "psi3", "--terms", "100001"], 48),
+    pytest.param(["cross-check", "--modulus", "8", "--pmax", "100000", "--format", "json"],
+                 ["cross-check", "--modulus", "8", "--pmax", "100001"], 48,
+                 id="cross-check"),
+    pytest.param(["qexp", "--form", "psi3", "--terms", "100000", "--format", "json"],
+                 ["qexp", "--form", "psi3", "--terms", "100001"], 48, id="qexp"),
+    pytest.param(["hurwitz-table", "--limit", "400001", "--format", "text"],
+                 ["hurwitz-table", "--limit", "400002"], 48, id="hurwitz-table-text"),
+    pytest.param(["hurwitz-table", "--limit", "400001", "--format", "json"],
+                 ["hurwitz-table", "--limit", "400002"], 64, id="hurwitz-table-json"),
+    pytest.param([*_MU, "--ell", "80", "--format", "json"], [*_MU, "--ell", "81"], 72,
+                 id="lattice-sum-mu"),
 ]
 
 
-@pytest.mark.parametrize("at_cap,past_cap,rss_mb", CAPS, ids=[c[0][0] for c in CAPS])
+@pytest.mark.parametrize("at_cap,past_cap,rss_mb", CAPS)
 def test_capped_request_answers_in_bounded_memory_and_one_past_is_refused(
         at_cap, past_cap, rss_mb):
-    code, peak = run_capped([*at_cap, "--format", "json"])
+    code, peak = run_capped(at_cap)
     assert code == 0
     assert peak < rss_mb, f"peak RSS {peak:.1f} MB"
-    assert run_capped([*past_cap, "--format", "json"])[0] == 2
+    assert run_capped(past_cap)[0] == 2

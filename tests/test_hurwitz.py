@@ -116,6 +116,15 @@ def test_table_bounds():
     assert len(build_table(5)) == 5
 
 
+def test_tables_are_read_only():
+    # the shared table is handed to every caller, so none may change it
+    for table in (build_table(10), table_at_least(2000)):
+        with pytest.raises(TypeError):
+            table[3] = 0
+        with pytest.raises(TypeError):
+            table[:2] = table[2:4]
+
+
 def test_series_prefix():
     h = hurwitz_series(8)
     assert h.precision == 8
