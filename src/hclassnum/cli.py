@@ -30,8 +30,6 @@ from .sums import g_series, lambda_series, mu_series, t_series
 
 __all__ = ["build_parser", "run", "main"]
 
-# largest p the curve sweeps accept
-_EC_MAX_P = 500
 # largest H(n) counted from its reduced forms, in O(n) time: about 0.8 s at
 # 2*10^8 on a 2-core x86-64 host with Python 3.11
 _HURWITZ_MAX_N = 2 * 10**8
@@ -41,16 +39,19 @@ _VERIFY_MIN_PMAX = {"classical": 2, "all": 2, "ec": 5}
 # Above the caps below a size argument is refused with exit 2.  Times are
 # wall clock for one request at the cap, in a fresh process on the same host
 # as above, with JSON output to /dev/null and peak RSS from os.wait4 (medians
-# of 7; python -c pass alone takes 0.04-0.07 s and 13 MB there); none needs
-# more than 64 MB resident.  tests/test_cli_caps.py runs the requests marked
-# "tested" at their caps and holds each under the bound it quotes.
+# of 7 unless a range is given; python -c pass alone takes 0.04-0.07 s and
+# 13 MB there); none needs more than 48 MB resident.  tests/test_cli_caps.py
+# runs the requests marked "tested" at their caps and holds each under the
+# bound it quotes.
 #
+# largest p the curve sweeps accept: ec-traces --p 499 takes 0.18-0.22 s
+# (16 MB; tested under 32 MB)
+_EC_MAX_P = 500
 # largest H-table limit: hurwitz-table --limit, and at most 4*pmax + 1 for
 # cross-check and the classical suite.  cross-check --modulus 8 --pmax 10^5
 # takes 1.3-1.7 s (30 MB; tested under 48 MB), hurwitz-table --limit 400001
-# 1.6-2.8 s (29 MB in text, tested under 48 MB; 54 MB in JSON, tested under
-# 64 MB); the table build alone takes 1.0-1.3 s at 4*10^5 and 5.1 s at
-# 8*10^5
+# 1.6-2.6 s (29 MB in text and in JSON, each tested under 48 MB); the table
+# build alone takes 1.0-1.3 s at 4*10^5 and 5.1 s at 8*10^5
 _TABLE_MAX = 400_001
 _TABLE_MAX_PMAX = (_TABLE_MAX - 1) // 4
 # largest series precision: qexp --terms, lattice-sum --terms, and the
@@ -61,9 +62,9 @@ _TABLE_MAX_PMAX = (_TABLE_MAX - 1) // 4
 # and 3.2 s
 _SERIES_MAX = 100_000
 # largest moment exponent of lattice-sum --ell; the paper and the lemma
-# suite use ell <= 3.  At --terms 10^5 and modulus 1 lambda takes 0.6-0.7 s
-# (39 MB) and mu 0.4-0.7 s (60 MB; tested under 72 MB); mu needs 93 MB at
-# ell = 150
+# suite use ell <= 3.  At --terms 10^5 and modulus 1 lambda takes 0.75-0.85 s
+# (32 MB; tested under 48 MB) and mu 0.40-0.50 s (44 MB; tested under
+# 56 MB); mu needs 67 MB at ell = 150
 _ELL_MAX = 80
 # largest coefficient range of the lemma suite (verify --pmax with --suite
 # lemmas or all): verify --suite lemmas takes 0.3-0.4 s and 23 MB at 4000,
@@ -98,7 +99,14 @@ def _emit_series(args: argparse.Namespace, series: QSeries) -> None:
     Fractions are made one at a time and the output is written as it is
     made, never held as one document."""
     if args.format == "json":
-        _emit(args, series.to_strings(), [], [])
+        # the bytes of print(canonical_json(...)) with the coefficient strings
+        # as the result; a Fraction's string needs no JSON escaping
+        head, _, tail = canonical_json({"command": args.command, "result": [None],
+                                        "reports": []}).partition("null")
+        coeffs = iter(series)
+        sys.stdout.write(f'{head}"{next(coeffs)}"')
+        sys.stdout.writelines(f',\n    "{c}"' for c in coeffs)
+        sys.stdout.write(tail + "\n")
     else:
         sys.stdout.writelines(f"{n}:{c.numerator}/{c.denominator}\n"
                               for n, c in enumerate(series))

@@ -9,25 +9,26 @@ LNM 1240, 1987); the closed forms follow from it.
 CASE_ROWS[M] holds the printed rows, seven for M = 6 and eleven for M = 8:
 a row's label (the branch h_formula and cross_check report), the folded
 residues m and the prime classes (p mod 3 for M = 6, p mod 8 for M = 8) it
-serves, and the form n of p = x^2 + n*y^2 that supplies x (None when it
-reads none).  At import _ROWS[M, r] lays out the rows of prime class r: the
-forms they read and, for each m, the row serving m mod M (H_{m,M} =
-H_{-m,M} folded in) with its value (A*p + B + K*chi(x)*x) / D as integers,
-which _class_layout derives from the identity.  h_formula evaluates the one
-row serving (m, p), with x from represent (Cornacchia's algorithm), since a
-single p runs far past any series.  CaseRow and FormulaResult are
+serves, and the form k of p = x^2 + k*y^2 whose CM series psi_k it reads
+(None when it reads none).  At import _ROWS[M, r] lays out the rows of
+prime class r: the forms they read and, for each m, the row serving m mod M
+(H_{m,M} = H_{-m,M} folded in) with its value (A*p + B + C*psi_k(p)) / D as
+integers, which _class_layout reads off the identity, so that C/D is the
+identity's own cm coefficient.  h_formula evaluates the one row serving
+(m, p), with psi_k(p) = 2*chi(x)*x from represent (Cornacchia's algorithm),
+since a single p runs far past any series.  CaseRow and FormulaResult are
 typing.NamedTuple records, so they also compare equal to plain tuples of
 their fields.
 
 Values are exact rationals; thirds and halves are legitimate because class
 numbers carry them.  cross_check checks every (prime, residue) pair against
-the brute-force t-scan, one prime at a time and in integers: chi(x)*x =
-psi_k(p)/2 comes off each CM series psi_k the rows read, built once up to
-p_max, so no sieved prime is tested or represented again, and
-hurwitz._residue_sums12 gives all M sums 12*H_{m,M}(p) from one C-level
-gather.  Fractions are built only for a mismatch and for the first cell of
-each row, which the scalar paths h_formula (Cornacchia) and moment_sum (a
-t-scan) recompute independently and must agree with.
+the brute-force t-scan, one prime at a time and in integers: psi_k(p) comes
+off each CM series psi_k the rows read, built once up to p_max, so no
+sieved prime is tested or represented again, and hurwitz._residue_sums12
+gives all M sums 12*H_{m,M}(p) from one C-level gather.  Fractions are
+built only for a mismatch and for the first cell of each row, which the
+scalar paths h_formula (Cornacchia) and moment_sum (a t-scan) recompute
+independently and must agree with.
 """
 from __future__ import annotations
 
@@ -104,25 +105,24 @@ _IDENTITIES = {6: MOD6_IDENTITIES, 8: MOD8_IDENTITIES}
 # the least prime of each prime class, which stands for it in _class_layout
 _CLASS_PRIME = {(M, r): next(p for p in count(FIRST_PRIME[M]) if p % q == r and is_prime(p))
                 for M, q in _PRIME_CLASS_MODULUS.items() for r in range(q) if gcd(r, q) == 1}
-# Lambda_{1,m,M} | U_4 twisted past every such prime, for the identities of
-# even m (it vanishes for odd m)
+# Lambda_{1,m,M} | U_4 of each identity, past every such prime (zero for odd m)
 _LAMBDA = {(M, spec.m): lambda_u4_twist(1, spec.m, M, max(_CLASS_PRIME.values()) + 1)
-           for M, specs in _IDENTITIES.items() for spec in specs if spec.m % 2 == 0}
+           for M, specs in _IDENTITIES.items() for spec in specs}
 
 
 def _class_layout(M: int, r: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
     """The rows of CASE_ROWS[M] at primes of class r:
-    the forms n of x^2 + n*y^2 they read, and per m the serving row with
-    the integers (A, B, K, D) of its value (A*p + B + K*chi(x)*x) / D.
+    the forms k of x^2 + k*y^2 they read, and per m the serving row with
+    the integers (A, B, C, D) of its value (A*p + B + C*psi_k(p)) / D.
 
     At a prime p not dividing M, the identity for min(m, M - m) with
     cm = (c, k) reads H_{m,M}(p) + Lambda(p)/2 = alpha*(p + 1) + c*psi_k(p):
     alpha sums the coeff of each d_term with p = residue (mod modulus), and
-    psi_k(p) = 2*chi(x)*x if the row reads x^2 + k*y^2, else 0.  So A/D =
-    alpha, B/D = alpha - Lambda(p)/2 and K/D = 2*c.  The class's least prime
-    stands for all of it: each d_terms sieve and Lambda's read p only mod 6
-    (M = 6, p odd) or mod 8 (M = 8); at a prime, d = 1 is the only divisor
-    below sqrt(p), and T vanishes off the squares.
+    psi_k(p) vanishes unless the row reads x^2 + k*y^2.  So A/D = alpha,
+    B/D = alpha - Lambda(p)/2 and C/D = c, or 0 when the row reads no form.
+    The class's least prime stands for all of it: each d_terms sieve and
+    Lambda's read p only mod 6 (M = 6, p odd) or mod 8 (M = 8); at a prime,
+    d = 1 is the only divisor below sqrt(p), and T vanishes off the squares.
     """
     p = _CLASS_PRIME[M, r]
     derived = {}
@@ -131,9 +131,8 @@ def _class_layout(M: int, r: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
                    if spec.m in row.residues and r in row.prime_classes)
         alpha = sum((coeff for coeff, modulus, residue in spec.d_terms
                      if (p - residue) % modulus == 0), Fraction(0))
-        beta = alpha - _LAMBDA[M, spec.m][p] / 2 if (M, spec.m) in _LAMBDA else alpha
-        chi_coeff = 2 * spec.cm[0] if spec.cm and row.form else Fraction(0)
-        coeffs = (alpha, beta, chi_coeff)
+        cm = spec.cm[0] if spec.cm and row.form else Fraction(0)
+        coeffs = (alpha, alpha - _LAMBDA[M, spec.m][p] / 2, cm)
         d = lcm(*(x.denominator for x in coeffs))
         derived[spec.m] = (row, *(x.numerator * d // x.denominator for x in coeffs), d)
     layout = [derived[min(m, M - m)] for m in range(M)]
@@ -148,19 +147,19 @@ def h_formula(M: int, p: int, m: int) -> FormulaResult:
     """H_{m,M}(p) for M = 6 (primes p >= 5) or M = 8 (primes p >= 3).
 
     Evaluates the one row serving (m, p).  When the row reads a form
-    x^2 + n*y^2, represent solves p = x^2 + n*y^2 by Cornacchia's algorithm
-    and chi(x) comes from forms.CM_CHARACTER[n], the character paired with
-    the CM form psi_n; chi(x)*x does not depend on the sign of x because
-    every character there is odd.
+    x^2 + k*y^2, represent solves p = x^2 + k*y^2 by Cornacchia's algorithm
+    and psi_k(p) = 2*chi(x)*x, with chi from forms.CM_CHARACTER[k], the
+    character paired with the CM form psi_k; chi(x)*x does not depend on the
+    sign of x because every character there is odd.
     """
     if M not in CASE_ROWS:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
     if p < FIRST_PRIME[M] or not is_prime(p):
         raise ValueError(f"H_(m,{M})(p) needs a prime p >= {FIRST_PRIME[M]}")
-    row, a, b, k, d = _ROWS[M, p % _PRIME_CLASS_MODULUS[M]][1][m % M]
+    row, a, b, c, d = _ROWS[M, p % _PRIME_CLASS_MODULUS[M]][1][m % M]
     rep = represent(p, row.form) if row.form else None
-    chi_x = CM_CHARACTER[row.form](rep.x) * rep.x if row.form else 0
-    return FormulaResult(value=Fraction(a * p + b + k * chi_x, d), branch=row.label,
+    psi = 2 * CM_CHARACTER[row.form](rep.x) * rep.x if row.form else 0
+    return FormulaResult(value=Fraction(a * p + b + c * psi, d), branch=row.label,
                          representation=rep)
 
 
@@ -174,22 +173,21 @@ def cross_check(M: int, p_max: int) -> CheckReport:
         raise ValueError("closed forms exist for moduli 6 and 8 only")
     primes = [p for p in primes_up_to(p_max) if p >= FIRST_PRIME[M]]
     q = _PRIME_CLASS_MODULUS[M]
-    # chi(x)*x = psi_k(p)/2 at p = x^2 + k*y^2, off the CM series the identities read
-    psi = {n: psi_series(n, CM_CHARACTER[n], max(p_max, 0) + 1)
-           for n in {row.form for row in CASE_ROWS[M]} - {None}}
+    # psi_k(p) at every p <= p_max, off the CM series the identities read;
+    # each is an integer, so its numerator is its value
+    psi = {k: psi_series(k, CM_CHARACTER[k], max(p_max, 0) + 1)
+           for k in {row.form for row in CASE_ROWS[M]} - {None}}
     mismatches: list[tuple] = []
     branches: set[str] = set()
     checked = 0
     for p, sums12 in zip(primes, _residue_sums12(M, primes)):
         forms, layout = _ROWS[M, p % q]
-        chi_x = {n: psi[n][p] / 2 for n in forms}
-        for m, ((row, a, b, k, d), brute12) in enumerate(zip(layout, sums12)):
+        psi_p = {k: psi[k][p].numerator for k in forms}
+        for m, ((row, a, b, c, d), brute12) in enumerate(zip(layout, sums12)):
             checked += 1
-            # (a*p + b + k*c) / d as integers num / den; c is 0 (an int) off the forms
-            c = chi_x.get(row.form, 0)
-            num, den = (a * p + b) * c.denominator + k * c.numerator, d * c.denominator
-            if 12 * num != brute12 * den:
-                mismatches.append((p, m, Fraction(num, den), Fraction(brute12, 12),
+            num = a * p + b + c * psi_p.get(row.form, 0)
+            if 12 * num != d * brute12:
+                mismatches.append((p, m, Fraction(num, d), Fraction(brute12, 12),
                                    row.label))
             if row.label not in branches:
                 branches.add(row.label)
@@ -197,7 +195,7 @@ def cross_check(M: int, p_max: int) -> CheckReport:
                 # against the psi lattice sum, one t-scan against the gather
                 scalar = h_formula(M, p, m)
                 scalar_brute = moment_sum(0, m, M, p)
-                if ((scalar.value, scalar.branch) != (Fraction(num, den), row.label)
+                if ((scalar.value, scalar.branch) != (Fraction(num, d), row.label)
                         or scalar_brute != Fraction(brute12, 12)):
                     mismatches.append((p, m, scalar.value, scalar_brute, scalar.branch))
     expected = [row.label for row in CASE_ROWS[M]]

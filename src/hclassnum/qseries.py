@@ -13,7 +13,7 @@ share no factor.  That form is canonical: equal series have equal
 numerators and denominators, so equality and hashing compare them
 directly.  All arithmetic runs on the integers; `fractions.Fraction`
 appears only at the API edge (construction from rationals, `s[n]`,
-`coeffs`, `to_strings`), and floats are rejected outright.
+iteration, `coeffs`), and floats are rejected outright.
 
 Operators:
   * u_operator(m): b(n) = a(m*n), the index-extraction operator U_m;
@@ -234,9 +234,3 @@ class QSeries:
             elif v == -1:
                 out[r::period] = [-c for c in self._nums[r::period]]
         return QSeries._from_numerators(out, self._den)
-
-    # -- serialization -------------------------------------------------------------
-
-    def to_strings(self) -> list[str]:
-        """Canonical rational strings: "p/q", or just "p" for integers."""
-        return [str(c) for c in self]

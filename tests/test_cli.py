@@ -35,6 +35,7 @@ def test_hurwitz_json_envelope(capsys):
 def test_json_round_trip_is_byte_identical(capsys):
     for argv in (["hurwitz", "4", "--format", "json"],
                  ["hurwitz-table", "--limit", "8", "--format", "json"],
+                 ["hurwitz-table", "--limit", "1", "--format", "json"],
                  ["qexp", "--form", "D", "--terms", "6", "--format", "json"],
                  ["hsum", "--modulus", "8", "--m", "0", "--p", "3",
                   "--explain", "--format", "json"],

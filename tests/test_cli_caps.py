@@ -9,10 +9,11 @@ so a fork from the test runner would report the runner's own memory.  The
 limits bind the grandchild only.
 
 The caps that run here are the H-table limit (through cross-check and
-hurwitz-table), the series precision (through qexp) and the lattice-sum
-moment exponent (through mu, the variant that needs the most memory);
-src/hclassnum/cli.py quotes these runs next to _TABLE_MAX, _SERIES_MAX and
-_ELL_MAX.
+hurwitz-table), the series precision (through qexp), the lattice-sum moment
+exponent (through mu, the variant that needs the most memory, and lambda,
+the slowest) and the curve sweep's field size (through ec-traces);
+src/hclassnum/cli.py quotes these runs next to _TABLE_MAX, _SERIES_MAX,
+_ELL_MAX and _EC_MAX_P.
 """
 from __future__ import annotations
 
@@ -56,12 +57,14 @@ def run_capped(argv: list[str]) -> tuple[int, float]:
 
 _MU = ["lattice-sum", "--variant", "mu", "--modulus", "1", "--a", "0", "--b", "0",
        "--terms", "100000"]
+_LAMBDA = ["lattice-sum", "--variant", "lambda", "--modulus", "1", "--terms", "100000"]
 
 # (request at its cap, the same request one step past it, peak RSS bound in
 # MB); python -c pass alone peaks at about 13 MB.  cross-check and qexp
-# peaked at 30 and 23 MB; hurwitz-table at 29 MB in text and 54 MB in JSON,
-# and mu at 60 MB, where a printer that held the whole answer as one
-# document before writing it peaked at 75, 84 and 95 MB
+# peaked at 30 and 23 MB; hurwitz-table at 29 MB in text and in JSON, mu at
+# 44 MB, lambda at 32 MB and ec-traces at 16 MB.  The series bounds fail a
+# JSON printer that holds every coefficient string at once: it peaked at
+# 54 MB (hurwitz-table) and 60 MB (mu)
 CAPS = [
     pytest.param(["cross-check", "--modulus", "8", "--pmax", "100000", "--format", "json"],
                  ["cross-check", "--modulus", "8", "--pmax", "100001"], 48,
@@ -71,9 +74,13 @@ CAPS = [
     pytest.param(["hurwitz-table", "--limit", "400001", "--format", "text"],
                  ["hurwitz-table", "--limit", "400002"], 48, id="hurwitz-table-text"),
     pytest.param(["hurwitz-table", "--limit", "400001", "--format", "json"],
-                 ["hurwitz-table", "--limit", "400002"], 64, id="hurwitz-table-json"),
-    pytest.param([*_MU, "--ell", "80", "--format", "json"], [*_MU, "--ell", "81"], 72,
+                 ["hurwitz-table", "--limit", "400002"], 48, id="hurwitz-table-json"),
+    pytest.param([*_MU, "--ell", "80", "--format", "json"], [*_MU, "--ell", "81"], 56,
                  id="lattice-sum-mu"),
+    pytest.param([*_LAMBDA, "--ell", "80", "--format", "json"], [*_LAMBDA, "--ell", "81"], 48,
+                 id="lattice-sum-lambda"),
+    pytest.param(["ec-traces", "--p", "499", "--format", "json"], ["ec-traces", "--p", "501"],
+                 32, id="ec-traces"),
 ]
 
 

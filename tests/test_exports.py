@@ -45,5 +45,5 @@ def test_removed_names_stay_absent():
 
 
 def test_removed_series_methods_stay_absent():
-    for name in ("truncate", "is_zero"):
+    for name in ("truncate", "is_zero", "to_strings"):
         assert not hasattr(hclassnum.QSeries, name), name

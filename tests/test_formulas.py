@@ -158,12 +158,13 @@ def test_each_residue_and_prime_class_is_served_by_one_row():
                 forms, layout = formulas._ROWS[M, r]
                 assert layout[m][0] is serving[0], (M, m, r)
     assert set(PRINTED_ROWS) == set(branches(6) + branches(8))
-    # the integers derived for each slot are its printed row's value
+    # the integers derived for each slot are its printed row's value; a slot
+    # holds the coefficient of psi_k(p) = 2*chi(x)*x
     for forms, layout in formulas._ROWS.values():
         assert forms == tuple(sorted({row.form for row, *_ in layout} - {None}))
-        for row, a, b, k, d in layout:
+        for row, a, b, c, d in layout:
             pa, pb, pc, chi_coeff = PRINTED_ROWS[row.label]
-            assert (Fraction(a, d), Fraction(b, d), Fraction(k, d)) == \
+            assert (Fraction(a, d), Fraction(b, d), 2 * Fraction(c, d)) == \
                 (Fraction(pa, pc), Fraction(pb, pc), chi_coeff), row.label
 
 
@@ -261,16 +262,15 @@ def test_case_rows_follow_from_the_identities():
             beta = alpha - lam[in_class[0]] / 2
             for m in {spec.m % M, -spec.m % M}:
                 layout = formulas._ROWS[M, c % formulas._PRIME_CLASS_MODULUS[M]][1]
-                row, a, b, k, d = layout[m]
+                row, a, b, cm, d = layout[m]
                 served.add(row)
                 assert (Fraction(a, d), Fraction(b, d)) == (alpha, beta), (spec.name, m, c)
                 if spec.cm is None:
-                    assert k == 0, (spec.name, m, c)
+                    assert cm == 0, (spec.name, m, c)
                 elif row.form is not None:
-                    assert (Fraction(k, d), row.form) == (2 * spec.cm[0], spec.cm[1]), \
-                        (spec.name, m, c)
+                    assert (Fraction(cm, d), row.form) == spec.cm, (spec.name, m, c)
                 else:
-                    assert k == 0, (spec.name, m, c)
+                    assert cm == 0, (spec.name, m, c)
                     assert all(represent(p, spec.cm[1]) is None for p in in_class), \
                         (spec.name, m, c)
     assert served == set(CASE_ROWS[6] + CASE_ROWS[8])
@@ -336,8 +336,8 @@ def test_cross_check_catches_a_wrong_row(M, index, monkeypatch):
     for key, (forms, layout) in formulas._ROWS.items():
         if key[0] == M:
             # off by one everywhere the row serves: B + D over D
-            wrong = tuple((r, a, b + d, k, d) if r is row else (r, a, b, k, d)
-                          for r, a, b, k, d in layout)
+            wrong = tuple((r, a, b + d, c, d) if r is row else (r, a, b, c, d)
+                          for r, a, b, c, d in layout)
             monkeypatch.setitem(formulas._ROWS, key, (forms, wrong))
     report = cross_check(M, 100)
     assert not report.verdict

@@ -2,6 +2,7 @@ import importlib.util
 import sys
 import types
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,46 @@ def test_series_rejects_precision_below_one():
 def test_eichler_sum():
     for p in primes_up_to(500):
         assert moment_sum(0, 0, 1, p) == 2 * p
+
+
+# P_k(t, p) = (rho^(k-1) - rhobar^(k-1)) / (rho - rhobar) with rho + rhobar = t
+# and rho*rhobar = p, for the weights k = 4, 6 at which SL_2(Z) has no cusp
+# forms.  The Eichler-Selberg trace formula (Zagier's appendix to Lang,
+# Introduction to Modular Forms, 1976) then reads, at every prime p,
+# 0 = tr T_p = -1/2 sum_{t^2 <= 4p} P_k(t, p) H(4p - t^2) - 1/2 (1 + 1).
+ES_POLYNOMIALS = {4: lambda t, p: t * t - p,
+                  6: lambda t, p: t**4 - 3 * p * t * t + p * p}
+ES_BOUND = 2000
+
+
+def eichler_selberg_failures(table, bound):
+    """The primes p <= bound at which sum_t P_k(t, p) * 12*H(4p - t^2) is not
+    -24 for k = 4 or 6, reading 12*H from table."""
+    failed = set()
+    for p in primes_up_to(bound):
+        r = isqrt(4 * p)
+        for P in ES_POLYNOMIALS.values():
+            if sum(P(t, p) * table[4 * p - t * t] for t in range(-r, r + 1)) != -24:
+                failed.add(p)
+    return failed
+
+
+def test_table_satisfies_the_eichler_selberg_trace_formula():
+    # a classical identity for the table that does not rest on the paper
+    assert eichler_selberg_failures(table_at_least(4 * ES_BOUND + 1), ES_BOUND) == set()
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 19, 5, 1000, 4003, 7963, 7996])
+def test_eichler_selberg_flags_every_prime_that_reads_a_wrong_entry(n):
+    # P_4 and P_6 vanish at no prime (t^2 = p, or t^2 = p*(3 +- sqrt 5)/2),
+    # so an entry off by one shows at exactly the primes p with 4p - n a
+    # square; n = 1, 2 (mod 4) is never read
+    table = list(table_at_least(4 * ES_BOUND + 1))
+    table[n] += 1
+    reading = {p for p in primes_up_to(ES_BOUND) if 4 * p >= n
+               and isqrt(4 * p - n) ** 2 == 4 * p - n}
+    assert eichler_selberg_failures(table, ES_BOUND) == reading
+    assert bool(reading) == (n % 4 in (0, 3))
 
 
 def test_h05_example():

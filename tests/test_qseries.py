@@ -261,15 +261,3 @@ def test_repr_shows_the_first_six_coefficients(monkeypatch):
     assert repr(long) == (
         "QSeries([0, 1/6, 1/3, 1/2, 2/3, 5/6, ...], precision=100000)")
     assert len(built) == 6  # the head only, not one per coefficient
-
-
-# -- serialization -----------------------------------------------------------------
-
-def test_strings_round_trip_canonical():
-    f = QSeries([Fraction(-1, 12), 0, 7])
-    assert f.to_strings() == ["-1/12", "0", "7"]
-
-
-@given(series)
-def test_serialization_round_trips(f):
-    assert QSeries(Fraction(s) for s in f.to_strings()) == f
