@@ -74,6 +74,26 @@ INVOCATIONS = [
     ["verify", "--suite", "ec", "--pmax", "60", "--format", "json"],
     ["ec-traces", "--p", "13"],
     ["ec-traces", "--p", "13", "--format", "json"],
+    # every size refusal: below a floor or above a cap
+    ["hurwitz", "200000004"],
+    ["hurwitz-table", "--limit", "0"],
+    ["hurwitz-table", "--limit", "400002"],
+    ["qexp", "--form", "psi3", "--terms", "0"],
+    ["qexp", "--form", "psi3", "--terms", "100001"],
+    ["lattice-sum", "--variant", "lambda", "--ell", "81", "--m", "0", "--modulus", "6",
+     "--terms", "10"],
+    ["cross-check", "--modulus", "6", "--pmax", "4"],
+    ["cross-check", "--modulus", "6", "--pmax", "100001"],
+    ["verify", "--suite", "mod6", "--pmax", "0"],
+    ["verify", "--suite", "classical", "--pmax", "1"],
+    ["verify", "--suite", "ec", "--pmax", "4"],
+    ["verify", "--suite", "lemmas", "--pmax", "4001"],
+    ["verify", "--suite", "classical", "--pmax", "100001"],
+    ["verify", "--suite", "all", "--pmax", "4001"],
+    ["verify", "--suite", "mod6", "--overshoot", "0"],
+    ["verify", "--suite", "mod6", "--overshoot", "261"],
+    ["verify", "--suite", "all", "--overshoot", "98"],
+    ["ec-traces", "--p", "501"],
 ]
 
 
