@@ -4,11 +4,15 @@ Commands: hurwitz, hurwitz-table, qexp, lattice-sum, hsum, cross-check,
 verify, ec-traces.  Every command accepts --format text|json; JSON output
 is the envelope {"command": ..., "result": ..., "reports": [...]} with all
 rationals as canonical Fraction strings, never floats, and with stable key
-order so that parse + re-serialize is byte-identical.  Each handler takes
-the parsed argparse.Namespace and calls the package directly.  The three
-series commands (hurwitz-table, qexp, lattice-sum) share one printer.
-lattice-sum, hsum and ec-traces report the ValueError of the package
-function they call as a usage error, so those checks live in one place.
+order so that parse + re-serialize is byte-identical.  Each subparser
+carries its handler, which takes the parsed argparse.Namespace and calls the
+package directly.  The three series commands (hurwitz-table, qexp,
+lattice-sum) share one printer.  One table lists the parts each verify
+--suite runs, with their --pmax floor and cap and the identities that cap
+--overshoot.  One helper refuses every size argument below its floor or
+above its cap; lattice-sum, hsum and ec-traces report the ValueError of the
+package function they call as a usage error, so those checks live in one
+place.
 
 Exit codes: 0 on success (for verification commands: all verdicts true),
 1 when a verification found mismatches or a cross-check's prime range
@@ -33,9 +37,6 @@ __all__ = ["build_parser", "run", "main"]
 # largest H(n) counted from its reduced forms, in O(n) time: about 0.8 s at
 # 2*10^8 on a 2-core x86-64 host with Python 3.11
 _HURWITZ_MAX_N = 2 * 10**8
-# smallest --pmax that leaves a prime to check: the classical sums start at
-# p = 2, the curve oracle at p = 5
-_VERIFY_MIN_PMAX = {"classical": 2, "all": 2, "ec": 5}
 # Above the caps below a size argument is refused with exit 2.  Times are
 # wall clock for one request at the cap, in a fresh process on the same host
 # as above, with JSON output to /dev/null and peak RSS from os.wait4 (medians
@@ -72,8 +73,42 @@ _ELL_MAX = 80
 _LEMMA_MAX_N = 4_000
 
 
+def _curve_reports(pmax: int, overshoot: int) -> list:
+    if pmax > _EC_MAX_P:
+        print(f"warning: ec suite capped at p <= {_EC_MAX_P}", file=sys.stderr)
+    return [eccount.verify_curve_counts(min(pmax, _EC_MAX_P))]
+
+
+# The parts of each --suite, in run order.  A part is (the least --pmax at
+# which it checks something, its --pmax cap or None, the identity specs whose
+# Sturm bounds cap --overshoot, its reports).  The classical sums start at
+# p = 2 and the curve oracle at p = 5; the identity parts read no --pmax.
+_SUITES = {
+    "mod6": ((1, None, verify.MOD6_IDENTITIES,
+              lambda pmax, overshoot: verify.verify_mod6(overshoot)),),
+    "mod8": ((1, None, verify.MOD8_IDENTITIES,
+              lambda pmax, overshoot: verify.verify_mod8(overshoot)),),
+    "lemmas": ((1, _LEMMA_MAX_N, (),
+                lambda pmax, overshoot: [verify.verify_lemmas(pmax)]),),
+    "classical": ((2, _TABLE_MAX_PMAX, (),
+                   lambda pmax, overshoot: [verify.verify_classical(pmax)]),),
+    "ec": ((5, None, (), _curve_reports),),
+}
+_SUITES["all"] = (_SUITES["mod6"] + _SUITES["mod8"] + _SUITES["lemmas"]
+                  + _SUITES["classical"])
+
+
 class UsageError(Exception):
     pass
+
+
+def _check_size(flag: str, value: int, floor: int | None, cap: int | None,
+                where: str = "") -> None:
+    """Refuse a size argument below floor or above cap; None sets no bound."""
+    if floor is not None and value < floor:
+        raise UsageError(f"{flag} must be >= {floor}{where}")
+    if cap is not None and value > cap:
+        raise UsageError(f"{flag} is capped at {cap}{where}")
 
 
 def canonical_json(payload: dict) -> str:
@@ -125,11 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hurwitz", parents=[common],
                        help="one Hurwitz class number H(n)")
     p.add_argument("n", type=int, help="argument of H")
+    p.set_defaults(handler=_cmd_hurwitz)
 
     p = sub.add_parser("hurwitz-table", parents=[common],
                        help="H(0..limit-1) as a table")
     p.add_argument("--limit", type=int, required=True,
                    help="tabulate H(n) for n < limit")
+    p.set_defaults(handler=_cmd_hurwitz_table)
 
     p = sub.add_parser("qexp", parents=[common],
                        help="q-expansion of a named series")
@@ -137,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="psi3 | psi4 | psi2 | D | E2 | theta:m:M")
     p.add_argument("--terms", type=int, required=True,
                    help="number of coefficients to emit")
+    p.set_defaults(handler=_cmd_qexp)
 
     p = sub.add_parser("lattice-sum", parents=[common],
                        help="lambda/G/T/mu lattice-sum series")
@@ -149,6 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of coefficients to emit")
     p.add_argument("--a", type=int, default=None, help="t-residue (mu only)")
     p.add_argument("--b", type=int, default=None, help="s-residue (mu only)")
+    p.set_defaults(handler=_cmd_lattice_sum)
 
     p = sub.add_parser("hsum", parents=[common],
                        help="closed-form H_{m,M}(p) for M = 6 or 8")
@@ -157,28 +196,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True, help="prime argument")
     p.add_argument("--explain", action="store_true",
                    help="also print the case row and representation used")
+    p.set_defaults(handler=_cmd_hsum)
 
     p = sub.add_parser("cross-check", parents=[common],
                        help="closed forms vs brute force over a prime range")
     p.add_argument("--modulus", type=int, choices=(6, 8), required=True)
     p.add_argument("--pmax", type=int, default=500,
                    help="check all primes up to this bound")
+    p.set_defaults(handler=_cmd_cross_check)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run verification suites")
-    p.add_argument("--suite",
-                   choices=("mod6", "mod8", "lemmas", "classical", "ec", "all"),
-                   default="all",
+    p.add_argument("--suite", choices=_SUITES, default="all",
                    help="which battery to run (all = mod6+mod8+lemmas+classical)")
     p.add_argument("--pmax", type=int, default=500,
                    help="prime range for classical/ec, coefficient range for lemmas")
     p.add_argument("--overshoot", type=int, default=4,
                    help="check this multiple of each Sturm bound")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("ec-traces", parents=[common],
                        help="weighted curve counts by trace over F_p")
     p.add_argument("--p", type=int, required=True,
                    help=f"prime field size (3 < p <= {_EC_MAX_P})")
+    p.set_defaults(handler=_cmd_ec_traces)
 
     return parser
 
@@ -206,31 +247,21 @@ def _parse_form(name: str, terms: int) -> QSeries:
 
 
 def _cmd_hurwitz(args: argparse.Namespace) -> int:
-    if args.n > _HURWITZ_MAX_N and args.n % 4 in (0, 3):
-        raise UsageError(f"n is capped at {_HURWITZ_MAX_N} unless H(n) = 0")
+    if args.n % 4 in (0, 3):
+        _check_size("n", args.n, None, _HURWITZ_MAX_N, " unless H(n) = 0")
     value = hurwitz(args.n)
     _emit(args, str(value), [], [str(value)])
     return 0
 
 
 def _cmd_hurwitz_table(args: argparse.Namespace) -> int:
-    if args.limit < 1:
-        raise UsageError("--limit must be >= 1")
-    if args.limit > _TABLE_MAX:
-        raise UsageError(f"--limit is capped at {_TABLE_MAX}")
+    _check_size("--limit", args.limit, 1, _TABLE_MAX)
     _emit_series(args, hurwitz_series(args.limit))
     return 0
 
 
-def _check_terms(terms: int) -> None:
-    if terms < 1:
-        raise UsageError("--terms must be >= 1")
-    if terms > _SERIES_MAX:
-        raise UsageError(f"--terms is capped at {_SERIES_MAX}")
-
-
 def _cmd_qexp(args: argparse.Namespace) -> int:
-    _check_terms(args.terms)
+    _check_size("--terms", args.terms, 1, _SERIES_MAX)
     _emit_series(args, _parse_form(args.form, args.terms))
     return 0
 
@@ -239,9 +270,8 @@ _LATTICE_SERIES = {"lambda": lambda_series, "G": g_series, "T": t_series}
 
 
 def _cmd_lattice_sum(args: argparse.Namespace) -> int:
-    _check_terms(args.terms)
-    if args.ell > _ELL_MAX:
-        raise UsageError(f"--ell is capped at {_ELL_MAX}")
+    _check_size("--terms", args.terms, 1, _SERIES_MAX)
+    _check_size("--ell", args.ell, None, _ELL_MAX)
     if args.variant == "mu":
         if args.a is None or args.b is None:
             raise UsageError("the mu variant needs --a and --b")
@@ -292,11 +322,9 @@ def _report_text(report: dict) -> str:
 
 
 def _cmd_cross_check(args: argparse.Namespace) -> int:
-    p_min = formulas.FIRST_PRIME[args.modulus]
-    if args.pmax < p_min:
-        raise UsageError(f"--pmax must be >= {p_min} for modulus {args.modulus}")
-    if args.pmax > _TABLE_MAX_PMAX:
-        raise UsageError(f"--pmax is capped at {_TABLE_MAX_PMAX}")
+    _check_size("--pmax", args.pmax, formulas.FIRST_PRIME[args.modulus], None,
+                f" for modulus {args.modulus}")
+    _check_size("--pmax", args.pmax, None, _TABLE_MAX_PMAX)
     report = formulas.cross_check(args.modulus, args.pmax).to_dict()
     ok = report["verdict"] and report["details"]["branch_coverage_complete"]
     lines = [_report_text(report),
@@ -307,50 +335,23 @@ def _cmd_cross_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _suite_reports(suite: str, pmax: int, overshoot: int) -> list[dict]:
-    """The report dicts of a suite, in order."""
-    reports = []
-    if suite in ("mod6", "all"):
-        reports += [r.to_dict() for r in verify.verify_mod6(overshoot)]
-    if suite in ("mod8", "all"):
-        reports += [r.to_dict() for r in verify.verify_mod8(overshoot)]
-    if suite in ("lemmas", "all"):
-        reports.append(verify.verify_lemmas(pmax).to_dict())
-    if suite in ("classical", "all"):
-        reports.append(verify.verify_classical(pmax).to_dict())
-    if suite == "ec":
-        if pmax > _EC_MAX_P:
-            print(f"warning: ec suite capped at p <= {_EC_MAX_P}", file=sys.stderr)
-        reports.append(eccount.verify_curve_counts(min(pmax, _EC_MAX_P)).to_dict())
-    return reports
-
-
 def _check_verify_caps(suite: str, pmax: int, overshoot: int) -> None:
-    """Refuse a --pmax or --overshoot past the cap of a resource the suite uses."""
-    pmax_caps = []
-    if suite in ("lemmas", "all"):
-        pmax_caps.append(_LEMMA_MAX_N)
-    if suite in ("classical", "all"):
-        pmax_caps.append(_TABLE_MAX_PMAX)
-    if pmax_caps and pmax > min(pmax_caps):
-        raise UsageError(f"--pmax is capped at {min(pmax_caps)} for --suite {suite}")
-    specs = ((verify.MOD6_IDENTITIES if suite in ("mod6", "all") else ())
-             + (verify.MOD8_IDENTITIES if suite in ("mod8", "all") else ()))
+    """Refuse a --pmax or --overshoot outside the bounds of the suite's parts."""
+    floors, caps, part_specs, _ = zip(*_SUITES[suite])
+    specs = sum(part_specs, ())
+    where = f" for --suite {suite}"
+    _check_size("--pmax", pmax, max(floors), None, where)
+    _check_size("--overshoot", overshoot, 1, None)
+    _check_size("--pmax", pmax, None, min(filter(None, caps), default=None), where)
     if specs:
         bound = max(verify.sturm_bound(2, spec.group) for spec in specs)
-        cap = (_SERIES_MAX - 1) // (4 * bound)
-        if overshoot > cap:
-            raise UsageError(f"--overshoot is capped at {cap} for --suite {suite}")
+        _check_size("--overshoot", overshoot, None, (_SERIES_MAX - 1) // (4 * bound), where)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    need = _VERIFY_MIN_PMAX.get(args.suite, 1)
-    if args.pmax < need:
-        raise UsageError(f"--pmax must be >= {need} for --suite {args.suite}")
-    if args.overshoot < 1:
-        raise UsageError("--overshoot must be >= 1")
     _check_verify_caps(args.suite, args.pmax, args.overshoot)
-    reports = _suite_reports(args.suite, args.pmax, args.overshoot)
+    reports = [r.to_dict() for *_, part_reports in _SUITES[args.suite]
+               for r in part_reports(args.pmax, args.overshoot)]
     all_ok = all(r["verdict"] for r in reports)
     lines = [_report_text(r) for r in reports]
     lines.append("all identities verified" if all_ok else "VERIFICATION FAILED")
@@ -360,8 +361,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_ec_traces(args: argparse.Namespace) -> int:
     p = args.p
-    if p > _EC_MAX_P:
-        raise UsageError(f"p is capped at {_EC_MAX_P}")
+    _check_size("p", p, None, _EC_MAX_P)
     try:
         counts = eccount.trace_distribution(p)
     except ValueError as exc:
@@ -380,18 +380,6 @@ def _cmd_ec_traces(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "hurwitz": _cmd_hurwitz,
-    "hurwitz-table": _cmd_hurwitz_table,
-    "qexp": _cmd_qexp,
-    "lattice-sum": _cmd_lattice_sum,
-    "hsum": _cmd_hsum,
-    "cross-check": _cmd_cross_check,
-    "verify": _cmd_verify,
-    "ec-traces": _cmd_ec_traces,
-}
-
-
 def run(argv: list[str]) -> int:
     """Parse and dispatch; returns the process exit code."""
     parser = build_parser()
@@ -400,7 +388,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return 0 if exc.code == 0 else 2
     try:
-        return _HANDLERS[ns.command](ns)
+        return ns.handler(ns)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
