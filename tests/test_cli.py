@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from hclassnum import cli
+from hclassnum import cli, eccount, verify
 from hclassnum.cli import canonical_json, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def invoke(capsys, *argv):
@@ -298,6 +302,42 @@ def test_overshoot_caps_admit_their_own_value():
         with pytest.raises(cli.UsageError):
             cli._check_verify_caps(suite, 500, cap + 1)
     cli._check_verify_caps("all", cli._LEMMA_MAX_N, 4)
+
+
+@pytest.mark.parametrize("suite, check, checked_at_floor", [
+    ("lemmas", verify.verify_lemmas, 342),
+    ("classical", verify.verify_classical, 1),
+    ("ec", eccount.verify_curve_counts, 8),
+])
+def test_each_pmax_floor_is_the_least_that_checks_something(suite, check,
+                                                            checked_at_floor):
+    [(floor, *_)] = cli._SUITES[suite]
+    assert check(floor).checked == checked_at_floor
+    if floor == 1:
+        with pytest.raises(ValueError):
+            check(0)
+    else:
+        assert check(floor - 1).checked == 0
+
+
+def _readme_commands():
+    """The argv after `hclassnum` of each command in README.md's shell blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = (shlex.split(line, comments=True) for block in blocks
+             for line in block.splitlines())
+    return [argv[1:] for argv in lines if argv[:1] == ["hclassnum"]]
+
+
+def test_readme_examples_answer(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 14
+    outputs = {}
+    for argv in commands:
+        code, outputs[" ".join(argv)], _ = invoke(capsys, *argv)
+        assert code == 0, argv
+    # the values the README's comments state
+    assert outputs["hurwitz 0"] == "-1/12\n"
+    assert outputs["hsum --modulus 8 --m 0 --p 17 --explain"].splitlines()[0] == "5"
 
 
 def _fresh_python(code):

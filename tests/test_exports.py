@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -47,3 +48,12 @@ def test_removed_names_stay_absent():
 def test_removed_series_methods_stay_absent():
     for name in ("truncate", "is_zero", "to_strings"):
         assert not hasattr(hclassnum.QSeries, name), name
+
+
+# older setuptools call [tool.setuptools] in pyproject.toml a beta feature
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_pyproject_reads_its_version_off_the_package():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert read_configuration(pyproject)["project"]["version"] == hclassnum.__version__

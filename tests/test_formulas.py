@@ -146,6 +146,13 @@ PRINTED_ROWS = {
 }
 
 
+@pytest.mark.parametrize("M, checked_at_first", [(6, 6), (8, 8)])
+def test_first_prime_is_the_least_pmax_that_checks_something(M, checked_at_first):
+    p = formulas.FIRST_PRIME[M]
+    assert formulas.cross_check(M, p - 1).checked == 0
+    assert formulas.cross_check(M, p).checked == checked_at_first
+
+
 def test_each_residue_and_prime_class_is_served_by_one_row():
     prime_classes = {6: (1, 2), 8: (1, 3, 5, 7)}
     assert set(formulas._ROWS) == {(M, r) for M in prime_classes for r in prime_classes[M]}
