@@ -29,12 +29,9 @@ The sieve modulus 2^f * M1 is M when 4 | M and M/2 otherwise;
 _sieve_modulus decides it for lambda_u4_twist, mu_closed and _mu_closed_rows.
 
 lambda_u4_twist assembles exactly this sum for every even M, and
-verify_lemmas checks it against the literal side for every m at once:
-_lambda_literal_rows bins one factorization sweep of n = d1*e1 (4n =
-(2*d1)(2*e1)) by t = d1 + e1 mod M.  lambda_series | U_4 (x) chi_{M,0} is
-the tests' oracle for those rows.  For the paper's moduli it specialises
-to these case rows
-(m read mod M; odd m gives zero):
+verify_lemmas checks it against the literal side for every m at once.  For
+the paper's moduli it specialises to these case rows (m read mod M; odd m
+gives zero):
 
     M = 6, m = 0:     2^(l+1) * G_{l,1,3} | S_{6,5}
     M = 6, m = 2, 4:  2^l * G_{l,1,3} | S_{6,1} + 2^(l-1) * T_{l,1,6}
@@ -42,11 +39,13 @@ to these case rows
     M = 8, m = 4:     2^(l+1) * G_{l,1,4} | S_{8,3}
     M = 8, m = 2, 6:  2^l * G_{l,1,4} | S_{4,1} + 2^(l-1) * T_{l,1,4}
 
-For mu, verify_lemmas compares all M^2 residue pairs (a, b) at once, one
-row per n from each of two private sweeps: _mu_literal_rows bins one
-factorization sweep of 4n = d*e by (t, s) mod M, and _mu_closed_rows bins
-one divisor sweep by d mod M/2 and applies mu_closed's rule to each row.
-The scalar mu_coeff and mu_closed are the tests' oracle for those rows.
+verify_lemmas takes both literal sides from one walk of the lattice points
+of t^2 - s^2 = 4n: _literal_rows gives each n one row of 2 * Lambda(4n) per
+residue m and one row of mu over all M^2 residue pairs (a, b).  The closed
+sides are built apart from that walk: lambda_u4_twist for Lambda, and for mu
+_mu_closed_rows, which bins its own divisor sweep by d mod M/2 and applies
+mu_closed's rule to each row.  lambda_series | U_4 (x) chi_{M,0}, mu_coeff
+and mu_closed are the tests' oracles for those rows.
 """
 from __future__ import annotations
 
@@ -89,7 +88,8 @@ def _branch_weight(t: int, m: int, M: int) -> int:
 
 def mu_coeff(ell: int, a: int, b: int, M: int, n: int) -> int:
     """mu_{ell,a,b,M}(n): literal scan over t > s >= 1 with t^2 - s^2 = 4n.
-    Public as the tests' oracle for _mu_literal_rows; perfbench hooks it."""
+    Public as the tests' oracle for the mu rows of _literal_rows;
+    perfbench hooks it."""
     _check(ell, M)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -136,30 +136,14 @@ def mu_closed(ell: int, a: int, b: int, M: int, n: int) -> int:
     )
 
 
-def _mu_literal_rows(ell: int, M: int, n_max: int) -> list[list[int]]:
-    """mu_coeff for every (a, b) and n <= n_max, from one factorization sweep.
-
-    rows[n][a*M + b] = mu_{ell,a,b,M}(n); rows[0] is zero.  4n = d*e with
-    d < e of the same parity forces both even, so the sweep runs over
-    n = d1*e1 with d1 < e1, where d = 2*d1, s = e1 - d1 and t = e1 + d1.
-    """
-    rows = [[0] * (M * M) for _ in range(n_max + 1)]
-    d1 = 1
-    while d1 * (d1 + 1) <= n_max:
-        dl = (2 * d1) ** ell
-        for e1 in range(d1 + 1, n_max // d1 + 1):
-            rows[d1 * e1][(e1 + d1) % M * M + (e1 - d1) % M] += dl
-        d1 += 1
-    return rows
-
-
 def _mu_closed_rows(ell: int, M: int, n_max: int) -> list[list[int]]:
     """mu_closed for every (a, b) and n <= n_max, from one divisor sweep.
 
-    Same layout as _mu_literal_rows, for even M.  Each divisor d | n with
-    d < sqrt(n) adds d^ell into the bin (n, d mod M/2); row (a, b) of n is
-    then mu_closed's rule applied to the bin of (a1 - b1) mod M/2.  The rows
-    equal mu_closed only where it is defined, at n coprime to M.
+    rows[n][a*M + b] for even M, zero at n = 0.  Each divisor d | n with
+    d < sqrt(n) adds d^ell into the bin (n, d mod M/2); the cell of each even
+    pair (a, b) = (2*a1, 2*b1) then takes 2^ell times the bin of (a1 - b1)
+    mod M/2 along n = a1^2 - b1^2 (mod 2^f * M1), mu_closed's rule.  The
+    rows equal mu_closed only where it is defined, at n coprime to M.
     """
     half = M // 2  # 2^(e-1) * M1
     residue_mod = _sieve_modulus(M)
@@ -171,55 +155,56 @@ def _mu_closed_rows(ell: int, M: int, n_max: int) -> list[list[int]]:
         for n in range(d * (d + 1), n_max + 1, d):
             bins[n][r] += dl
         d += 1
-    # the (row index, bin) pairs live for each class of n mod 2^f * M1
-    live: list[list[tuple[int, int]]] = [[] for _ in range(residue_mod)]
+    rows = [[0] * (M * M) for _ in range(n_max + 1)]
+    two_l = 2**ell
     for a1 in range(half):
         for b1 in range(half):
-            cell = (2 * a1 * M + 2 * b1, (a1 - b1) % half)
-            live[(a1 * a1 - b1 * b1) % residue_mod].append(cell)
-    two_l = 2**ell
-    rows = []
-    for n in range(n_max + 1):
-        row = [0] * (M * M)
-        bin_n = bins[n]
-        for index, r in live[n % residue_mod]:
-            row[index] = two_l * bin_n[r]
-        rows.append(row)
+            cell, r = 2 * a1 * M + 2 * b1, (a1 - b1) % half
+            for n in range((a1 * a1 - b1 * b1) % residue_mod, n_max + 1, residue_mod):
+                rows[n][cell] = two_l * bins[n][r]
     return rows
 
 
-def _lambda_literal_rows(ell: int, M: int, n_max: int) -> list[list[int]]:
-    """2 * lambda_{ell,m,M}(4n) at n < n_max coprime to M, for every m mod M.
+def _literal_rows(ell: int, M: int, n_max: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The literal Lambda and mu rows of verify_lemmas, from one sweep.
 
-    rows[m] holds the numerators over 2 of lambda_series(ell, m, M, 4*n_max)
-    | U_4 (x) chi_{M,0}, zero at every n not coprime to M.  4n = d*e with
-    d <= e of the same parity forces both even, so the sweep runs over
-    n = d1*e1 with d1 <= e1, where d = 2*d1 and t = d1 + e1.  It bins
-    (2*d1)^ell by t mod M, doubled when d1 < e1 (the half weight of s = 0
-    is the single count at d1 = e1), and row m sums the bins with the
-    weight of each sign branch.
+    4n = d*e with d <= e of the same parity forces both even, so the sweep
+    runs over n = d1*e1 <= n_max with d1 <= e1, where d = 2*d1, t = e1 + d1
+    and s = e1 - d1, and adds each point to both tables:
+
+    lam[m][n] is 2 * lambda_{ell,m,M}(4n) at n < n_max coprime to M (the
+    numerators over 2 of lambda_series(ell, m, M, 4*n_max) | U_4 (x)
+    chi_{M,0}) and zero at every other n.  It bins (2*d1)^ell by t mod M,
+    doubled when d1 < e1 (the half weight of s = 0 is the single count at
+    d1 = e1), and row m sums the bins with the weight of each sign branch.
+
+    mu[n][a*M + b] is mu_{ell,a,b,M}(n) for n <= n_max, zero at n = 0: each
+    point with d1 < e1 (s >= 1) adds (2*d1)^ell to the cell (t, s) mod M.
     """
-    bins = [[0] * n_max for _ in range(M)]
+    bins = [[0] * (n_max + 1) for _ in range(M)]  # the zip below drops n = n_max
+    mu = [[0] * (M * M) for _ in range(n_max + 1)]
     d1 = 1
-    while d1 * d1 < n_max:
+    while d1 * d1 <= n_max:
         dl = (2 * d1) ** ell
         bins[2 * d1 % M][d1 * d1] += dl
-        for e1 in range(d1 + 1, (n_max - 1) // d1 + 1):
-            bins[(d1 + e1) % M][d1 * e1] += 2 * dl
+        for e1 in range(d1 + 1, n_max // d1 + 1):
+            n, t = d1 * e1, (e1 + d1) % M
+            bins[t][n] += 2 * dl
+            mu[n][t * M + (e1 - d1) % M] += dl
         d1 += 1
     for r in range(M):
         if gcd(r, M) != 1:
             for column in bins:
                 column[r::M] = [0] * len(column[r::M])
-    rows = []
+    lam = []
     for m in range(M):
         row = [0] * n_max
         for r, column in enumerate(bins):
             w = _branch_weight(r, m, M)
             if w:
                 row = [x + w * y for x, y in zip(row, column)]
-        rows.append(row)
-    return rows
+        lam.append(row)
+    return lam, mu
 
 
 def lambda_series(ell: int, m: int, M: int, precision: int) -> QSeries:
@@ -238,7 +223,7 @@ def lambda_series(ell: int, m: int, M: int, precision: int) -> QSeries:
 
 
 def mu_series(ell: int, a: int, b: int, M: int, precision: int) -> QSeries:
-    """sum_n mu_{ell,a,b,M}(n) q^n, over n = d1*e1 as in _mu_literal_rows.
+    """sum_n mu_{ell,a,b,M}(n) q^n, over n = d1*e1 as in _literal_rows.
 
     t - s = 2*d1 pins d1 to one class mod M, and t = e1 + d1 then pins e1.
     """

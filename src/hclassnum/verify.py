@@ -32,16 +32,14 @@ M = 6; m = 1, 3 for M = 8) the bound is recomputed from that larger index
 rather than reusing the Gamma_0 bound; conservative costs nothing here.
 
 verify_lemmas exercises the lattice-sum layer itself: the literal mu and
-Lambda sums against their divisor-sum closed forms.  For Lambda it runs one
-factorization sweep per (M, ell), binned by t mod M, which gives the
-literal side of every residue m as one row of 2 * Lambda(4n) over n, and
-compares each row with lambda_u4_twist; lambda_series, the literal series
-itself, is the tests' oracle for the rows.  For mu it runs one
-factorization sweep (the literal side) and one divisor sweep (the closed
-side) per (M, ell), each giving a row of all M^2 residue pairs per n, and
-compares the rows.  verify_classical covers the two classical regressions
-(the full class-number sum equal to 2p, and the 3-case evaluation of
-H_{0,5}(p)).
+Lambda sums against their divisor-sum closed forms.  One walk of the lattice
+points of t^2 - s^2 = 4n per (M, ell) gives both literal sides: a row of
+2 * Lambda(4n) over n for every residue m, and a row of all M^2 residue
+pairs of mu per n.  Each closed side is built apart from that walk, Lambda
+by lambda_u4_twist and mu by its own divisor sweep; lambda_series, mu_coeff
+and mu_closed are the tests' oracles for the rows.  verify_classical covers
+the two classical regressions (the full class-number sum equal to 2p, and
+the 3-case evaluation of H_{0,5}(p)).
 """
 from __future__ import annotations
 
@@ -60,12 +58,7 @@ from .numtheory import (
 )
 from .qseries import QSeries
 from .reporting import CheckReport, jsonable
-from .sums import (
-    _lambda_literal_rows,
-    _mu_closed_rows,
-    _mu_literal_rows,
-    lambda_u4_twist,
-)
+from .sums import _literal_rows, _mu_closed_rows, lambda_u4_twist
 
 __all__ = [
     "GroupSpec",
@@ -267,12 +260,13 @@ def verify_lemmas(n_max: int = 600) -> CheckReport:
     Two families, for ell in {0, 1, 3}: the twisted U_4 image of
     Lambda_{ell,m,M} for every residue m, compared coefficientwise to n_max;
     and mu_{ell,a,b,M}(n) for every residue pair (a, b) against its
-    divisor-sum evaluation, for every n <= n_max coprime to M.  The Lambda
-    family takes one factorization sweep per (M, ell) for the literal side of
-    all M residues.  The mu family takes one factorization sweep and one
-    divisor sweep per (M, ell), each binning all M^2 pairs of every n into
-    one row, and compares the rows; each (a, b, n) counts as one check.
-    Each (M, ell) checks Lambda and then mu.
+    divisor-sum evaluation, for every n <= n_max coprime to M.  One walk of
+    the lattice points per (M, ell) gives the literal side of both families,
+    all M residues of Lambda and all M^2 pairs of mu for every n.  The closed
+    sides are built apart from it: lambda_u4_twist per residue, and one
+    divisor sweep binning the mu pairs of every n into one row.  Each
+    (a, b, n) of mu counts as one check.  Each (M, ell) checks Lambda and
+    then mu.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -280,8 +274,8 @@ def verify_lemmas(n_max: int = 600) -> CheckReport:
     checked = 0
     for M in (6, 8):
         for ell in (0, 1, 3):
-            rows = _lambda_literal_rows(ell, M, n_max)
-            for m, row in enumerate(rows):
+            lam_rows, mu_rows = _literal_rows(ell, M, n_max)
+            for m, row in enumerate(lam_rows):
                 literal = QSeries._from_numerators(row, 2)
                 closed = lambda_u4_twist(ell, m, M, n_max)
                 checked += n_max
@@ -291,20 +285,19 @@ def verify_lemmas(n_max: int = 600) -> CheckReport:
                         for n in range(n_max)
                         if literal[n] != closed[n]
                     )
-            literal_rows = _mu_literal_rows(ell, M, n_max)
             closed_rows = _mu_closed_rows(ell, M, n_max)
             for n in range(1, n_max + 1):
                 if gcd(n, M) != 1:
                     continue
                 checked += M * M
-                literal, closed = literal_rows[n], closed_rows[n]
+                literal, closed = mu_rows[n], closed_rows[n]
                 if literal != closed:
                     mismatches.extend(
                         ("mu", M, ell, i // M, i % M, n, lit, clo)
                         for i, (lit, clo) in enumerate(zip(literal, closed))
                         if lit != clo
                     )
-            del literal_rows, closed_rows  # one pair of tables alive at a time
+            del lam_rows, mu_rows, closed_rows  # one (M, ell) alive at a time
     return CheckReport(
         name="lattice-sum lemmas (M=6,8)",
         checked=checked,

@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 from hclassnum.numtheory import DirichletCharacter
 from hclassnum.qseries import QSeries
 from hclassnum.sums import (
-    _lambda_literal_rows,
+    _literal_rows,
     _mu_closed_rows,
-    _mu_literal_rows,
     g_series,
     lambda_series,
     lambda_u4_twist,
@@ -59,17 +58,22 @@ def test_mu_closed_form_matches_literal():
 @pytest.mark.parametrize("M", (6, 8))
 @pytest.mark.parametrize("ell", (0, 1, 3))
 def test_mu_rows_match_the_scalar_sums(ell, M):
-    # the scalar functions are the oracle for the binned sweeps of verify_lemmas
-    literal = _mu_literal_rows(ell, M, 200)
-    closed = _mu_closed_rows(ell, M, 200)
-    assert len(literal) == len(closed) == 201
-    for n in range(1, 201):
-        assert len(literal[n]) == len(closed[n]) == M * M
-        for a in range(M):
-            for b in range(M):
-                assert literal[n][a * M + b] == mu_coeff(ell, a, b, M, n), (a, b, n)
-                if gcd(n, M) == 1:
-                    assert closed[n][a * M + b] == mu_closed(ell, a, b, M, n), (a, b, n)
+    # the scalar functions are the oracle for the binned sweeps of verify_lemmas;
+    # small n_max pins the edge where the walk stops at d1^2 <= n_max
+    for n_max in (1, 2, 3, 200):
+        literal = _literal_rows(ell, M, n_max)[1]
+        closed = _mu_closed_rows(ell, M, n_max)
+        assert len(literal) == len(closed) == n_max + 1
+        assert literal[0] == closed[0] == [0] * (M * M)
+        for n in range(1, n_max + 1):
+            assert len(literal[n]) == len(closed[n]) == M * M
+            for a in range(M):
+                for b in range(M):
+                    want = mu_coeff(ell, a, b, M, n)
+                    assert literal[n][a * M + b] == want, (n_max, a, b, n)
+                    if gcd(n, M) == 1:
+                        assert closed[n][a * M + b] == mu_closed(ell, a, b, M, n), (
+                            n_max, a, b, n)
 
 
 @pytest.mark.parametrize("M", (6, 8))
@@ -78,7 +82,7 @@ def test_lambda_rows_match_the_literal_pipeline(ell, M):
     # lambda_series is the oracle for the binned sweep of verify_lemmas
     chi0 = DirichletCharacter.principal(M)
     for n_max in (1, 2, 3, 150):
-        rows = _lambda_literal_rows(ell, M, n_max)
+        rows = _literal_rows(ell, M, n_max)[0]
         assert len(rows) == M
         for m, row in enumerate(rows):
             want = lambda_series(ell, m, M, 4 * n_max).u_operator(4).twist(chi0)

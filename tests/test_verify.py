@@ -150,6 +150,14 @@ def test_verify_lemmas_small():
     assert report.checked == 26_100
 
 
+def test_verify_lemmas_at_the_cli_cap():
+    # verify --pmax caps the lemma suite at cli._LEMMA_MAX_N = 4000
+    report = verify_lemmas(4000)
+    assert report.verdict, report.mismatches[:5]
+    # Lambda: 2 * 3 * (6 + 8) * 4000 / 2; mu: 3 * (6^2 * 1333 + 8^2 * 2000)
+    assert report.checked == 695_964
+
+
 def test_verify_lemmas_reports_a_wrong_mu_value(monkeypatch):
     closed_rows = verify._mu_closed_rows
 
@@ -168,15 +176,15 @@ def test_verify_lemmas_reports_a_wrong_mu_value(monkeypatch):
 
 
 def test_verify_lemmas_reports_a_wrong_lambda_value(monkeypatch):
-    literal_rows = verify._lambda_literal_rows
+    literal_rows = verify._literal_rows
 
     def off_by_a_half(ell, M, n_max):
-        rows = literal_rows(ell, M, n_max)
+        lam, mu = literal_rows(ell, M, n_max)
         if (ell, M) == (1, 8):
-            rows[2][105] += 1  # m = 2 at n = 105, where 2 * Lambda(420) = 64
-        return rows
+            lam[2][105] += 1  # m = 2 at n = 105, where 2 * Lambda(420) = 64
+        return lam, mu
 
-    monkeypatch.setattr(verify, "_lambda_literal_rows", off_by_a_half)
+    monkeypatch.setattr(verify, "_literal_rows", off_by_a_half)
     report = verify_lemmas(150)
     assert not report.verdict
     assert lambda_series(1, 2, 8, 421)[420] == lambda_u4_twist(1, 2, 8, 150)[105] == 32
