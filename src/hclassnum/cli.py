@@ -64,8 +64,8 @@ _TABLE_MAX_PMAX = (_TABLE_MAX - 1) // 4
 _SERIES_MAX = 100_000
 # largest moment exponent of lattice-sum --ell; the paper and the lemma
 # suite use ell <= 3.  At --terms 10^5 and modulus 1 lambda takes 0.75-0.85 s
-# (32 MB; tested under 48 MB) and mu 0.40-0.50 s (44 MB; tested under
-# 56 MB); mu needs 67 MB at ell = 150
+# (32 MB; tested under 48 MB), mu 0.40-0.50 s (44 MB; tested under 56 MB)
+# and G 0.4 s (37 MB; tested under 48 MB); mu needs 67 MB at ell = 150
 _ELL_MAX = 80
 # largest coefficient range of the lemma suite (verify --pmax with --suite
 # lemmas or all): verify --suite lemmas takes 0.3-0.4 s and 23 MB at 4000,

@@ -10,8 +10,8 @@ limits bind the grandchild only.
 
 The caps that run here are the H-table limit (through cross-check and
 hurwitz-table), the series precision (through qexp), the lattice-sum moment
-exponent (through mu, the variant that needs the most memory, and lambda,
-the slowest) and the curve sweep's field size (through ec-traces);
+exponent (through mu, the variant that needs the most memory, lambda, the
+slowest, and G) and the curve sweep's field size (through ec-traces);
 src/hclassnum/cli.py quotes these runs next to _TABLE_MAX, _SERIES_MAX,
 _ELL_MAX and _EC_MAX_P.
 """
@@ -58,11 +58,12 @@ def run_capped(argv: list[str]) -> tuple[int, float]:
 _MU = ["lattice-sum", "--variant", "mu", "--modulus", "1", "--a", "0", "--b", "0",
        "--terms", "100000"]
 _LAMBDA = ["lattice-sum", "--variant", "lambda", "--modulus", "1", "--terms", "100000"]
+_G = ["lattice-sum", "--variant", "G", "--modulus", "1", "--terms", "100000"]
 
 # (request at its cap, the same request one step past it, peak RSS bound in
 # MB); python -c pass alone peaks at about 13 MB.  cross-check and qexp
 # peaked at 30 and 23 MB; hurwitz-table at 29 MB in text and in JSON, mu at
-# 44 MB, lambda at 32 MB and ec-traces at 16 MB.  The series bounds fail a
+# 44 MB, lambda at 32 MB, G at 37 MB and ec-traces at 16 MB.  The series bounds fail a
 # JSON printer that holds every coefficient string at once: it peaked at
 # 54 MB (hurwitz-table) and 60 MB (mu)
 CAPS = [
@@ -79,6 +80,8 @@ CAPS = [
                  id="lattice-sum-mu"),
     pytest.param([*_LAMBDA, "--ell", "80", "--format", "json"], [*_LAMBDA, "--ell", "81"], 48,
                  id="lattice-sum-lambda"),
+    pytest.param([*_G, "--ell", "80", "--format", "json"], [*_G, "--ell", "81"], 48,
+                 id="lattice-sum-G"),
     pytest.param(["ec-traces", "--p", "499", "--format", "json"], ["ec-traces", "--p", "501"],
                  32, id="ec-traces"),
 ]
