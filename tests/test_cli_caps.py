@@ -63,9 +63,9 @@ _G = ["lattice-sum", "--variant", "G", "--modulus", "1", "--terms", "100000"]
 # (request at its cap, the same request one step past it, peak RSS bound in
 # MB); python -c pass alone peaks at about 13 MB.  cross-check and qexp
 # peaked at 30 and 23 MB; hurwitz-table at 29 MB in text and in JSON, mu at
-# 44 MB, lambda at 32 MB, G at 37 MB and ec-traces at 16 MB.  The series bounds fail a
-# JSON printer that holds every coefficient string at once: it peaked at
-# 54 MB (hurwitz-table) and 60 MB (mu)
+# 44 MB, lambda at 32 MB, G at 37 MB and ec-traces at 16 MB.  The series
+# bounds fail a JSON printer that holds every coefficient string at once: it
+# peaked at 54 MB (hurwitz-table) and 60 MB (mu)
 CAPS = [
     pytest.param(["cross-check", "--modulus", "8", "--pmax", "100000", "--format", "json"],
                  ["cross-check", "--modulus", "8", "--pmax", "100001"], 48,

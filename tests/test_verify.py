@@ -146,7 +146,7 @@ def test_overshoot_validation():
 def test_verify_lemmas_small():
     report = verify_lemmas(150)
     assert report.verdict, report.mismatches[:5]
-    # Lambda: 2 * 3 * (6 + 8) * 150 coefficients; mu: 3 * (6^2 * 50 + 8^2 * 75)
+    # Lambda: 3 * (6 + 8) * 150 coefficients; mu: 3 * (6^2 * 50 + 8^2 * 75)
     assert report.checked == 26_100
 
 
@@ -154,7 +154,7 @@ def test_verify_lemmas_at_the_cli_cap():
     # verify --pmax caps the lemma suite at cli._LEMMA_MAX_N = 4000
     report = verify_lemmas(4000)
     assert report.verdict, report.mismatches[:5]
-    # Lambda: 2 * 3 * (6 + 8) * 4000 / 2; mu: 3 * (6^2 * 1333 + 8^2 * 2000)
+    # Lambda: 3 * (6 + 8) * 4000 coefficients; mu: 3 * (6^2 * 1333 + 8^2 * 2000)
     assert report.checked == 695_964
 
 
