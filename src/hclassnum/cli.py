@@ -16,13 +16,16 @@ place.
 
 Exit codes: 0 on success (for verification commands: all verdicts true),
 1 when a verification found mismatches or a cross-check's prime range
-missed a case row, 2 on usage errors, a size argument above its cap among
-them.
+missed a case row, 2 on usage errors, among them a size argument above its
+cap (verify --suite ec alone warns and clamps --pmax to its cap instead),
+and 141 (128 + SIGPIPE) when the reader closes stdout before the output
+ends, as `| head` does; nothing goes to stderr then.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -344,7 +347,7 @@ def _check_verify_caps(suite: str, pmax: int, overshoot: int) -> None:
     _check_size("--overshoot", overshoot, 1, None)
     _check_size("--pmax", pmax, None, min(filter(None, caps), default=None), where)
     if specs:
-        bound = max(verify.sturm_bound(2, spec.group) for spec in specs)
+        bound = max(verify.sturm_bound(spec.group) for spec in specs)
         _check_size("--overshoot", overshoot, None, (_SERIES_MAX - 1) // (4 * bound), where)
 
 
@@ -396,7 +399,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit stays quiet, and exit as a SIGPIPE death would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

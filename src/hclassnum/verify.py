@@ -104,23 +104,20 @@ def group_index(group: GroupSpec) -> int:
     return idx * euler_phi(group.n2)
 
 
-def sturm_bound(weight: int, group: GroupSpec) -> int:
-    """Agreement of coefficients 0..bound forces equality at this weight."""
-    if weight < 2:
-        raise ValueError("Sturm bound needs weight >= 2")
-    return weight * group_index(group) // 12
+def sturm_bound(group: GroupSpec) -> int:
+    """Agreement of coefficients 0..bound forces equality at weight 2."""
+    return 2 * group_index(group) // 12
 
 
 class IdentityReport:
     """Result of one coefficientwise identity check."""
 
-    __slots__ = ("name", "group", "weight", "bound", "checked", "mismatches")
+    __slots__ = ("name", "group", "bound", "checked", "mismatches")
 
-    def __init__(self, name: str, group: GroupSpec, weight: int, bound: int,
-                 checked: int, mismatches: list[tuple[int, Fraction, Fraction]]) -> None:
+    def __init__(self, name: str, group: GroupSpec, bound: int, checked: int,
+                 mismatches: list[tuple[int, Fraction, Fraction]]) -> None:
         self.name = name
         self.group = group
-        self.weight = weight
         self.bound = bound
         self.checked = checked
         self.mismatches = mismatches
@@ -133,7 +130,7 @@ class IdentityReport:
         return {
             "name": self.name,
             "group": {"n1": self.group.n1, "n2": self.group.n2},
-            "weight": self.weight,
+            "weight": 2,
             "index": group_index(self.group),
             "bound": self.bound,
             "checked": self.checked,
@@ -227,7 +224,7 @@ def verify_identity(spec: IdentitySpec, overshoot: int = 4) -> IdentityReport:
     """Check one identity to overshoot times its Sturm bound."""
     if overshoot < 1:
         raise ValueError("overshoot must be >= 1")
-    bound = sturm_bound(2, spec.group)
+    bound = sturm_bound(spec.group)
     precision = overshoot * bound + 1
     lhs = identity_lhs(spec, precision)
     rhs = identity_rhs(spec, precision)
@@ -237,7 +234,6 @@ def verify_identity(spec: IdentitySpec, overshoot: int = 4) -> IdentityReport:
     return IdentityReport(
         name=spec.name,
         group=spec.group,
-        weight=2,
         bound=bound,
         checked=precision,
         mismatches=mismatches,

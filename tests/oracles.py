@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 
 def trial_division_prime(n: int) -> bool:
@@ -211,38 +212,28 @@ def trace_distribution_pairs(p: int):
     (p - 1) * N_A(p; t) as in eccount.trace_distribution; O(p^3) time and a
     p x p table, so keep p small.
     """
-    # imported here: perfbench/references.py loads this file for
-    # hurwitz_naive alone
-    import numpy as np
-
     if p <= 3 or not trial_division_prime(p):
         raise ValueError("trace counts need a prime p > 3")
-    xs = np.arange(p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int64)
+    chi = [-1] * p
     chi[0] = 0
-    chi[(xs[1:] * xs[1:]) % p] = 1
-    # one square root per quadratic residue, for locating singular pairs
-    root = np.zeros(p, dtype=np.int64)
-    root[(xs[1:] * xs[1:]) % p] = xs[1:]
-    # chi shifted: SHIFT[v, b] = chi(v + b), so counts @ SHIFT sums chi over x
-    shift = chi[(xs[:, None] + xs[None, :]) % p]
-    x3 = (xs * xs % p) * xs % p
-    inv27 = pow(27, -1, p)
+    for x in range(1, p):
+        chi[x * x % p] = 1
+    # shift[b][v] = chi(v + b), so the dot product of counts with shift[b]
+    # sums chi over x
+    shift = [chi[b:] + chi[:b] for b in range(p)]
+    x3 = [x * x * x % p for x in range(p)]
+    b27 = [27 * b * b for b in range(p)]
     tmax = isqrt(4 * p)
-    hist = np.zeros(2 * tmax + 1, dtype=np.int64)  # index t + tmax
+    hist = [0] * (2 * tmax + 1)  # index t + tmax
     for a in range(p):
-        vals = (x3 + a * xs) % p
-        counts = np.bincount(vals, minlength=p)
-        traces = -(counts @ shift)
-        if np.max(np.abs(traces)) > tmax:
-            raise AssertionError("trace outside the Hasse range")
-        keep = np.ones(p, dtype=bool)
-        rhs = (-4 * pow(a, 3, p) * inv27) % p  # b^2 = rhs marks singular pairs
-        if rhs == 0:
-            keep[0] = False
-        elif chi[rhs] == 1:
-            r = int(root[rhs])
-            keep[r] = False
-            keep[p - r] = False
-        hist += np.bincount(traces[keep] + tmax, minlength=2 * tmax + 1)
-    return {int(t - tmax): int(c) for t, c in enumerate(hist) if c}
+        counts = [0] * p
+        for x, c in enumerate(x3):
+            counts[(c + a * x) % p] += 1
+        a4 = 4 * a**3
+        for b, row in enumerate(shift):
+            t = -sum(map(mul, counts, row))
+            if abs(t) > tmax:
+                raise AssertionError("trace outside the Hasse range")
+            if (a4 + b27[b]) % p:  # nonsingular
+                hist[t + tmax] += 1
+    return {t: c for t, c in enumerate(hist, -tmax) if c}

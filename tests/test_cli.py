@@ -340,12 +340,15 @@ def test_readme_examples_answer(capsys):
     assert outputs["hsum --modulus 8 --m 0 --p 17 --explain"].splitlines()[0] == "5"
 
 
-def _fresh_python(code):
-    """Run code in a new interpreter that imports the package from src/."""
+def _src_env():
+    """The environment of a new interpreter that imports the package from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
+def _fresh_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
+                          env=_src_env())
 
 
 def test_cli_requests_leave_numpy_unimported():
@@ -358,6 +361,18 @@ def test_cli_requests_leave_numpy_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "114"
+
+
+def test_closed_pipe_exits_141_quietly():
+    # more output than a pipe buffer holds, so the writer meets the closed end
+    proc = subprocess.Popen([sys.executable, "-m", "hclassnum.cli", "hurwitz-table",
+                             "--limit", "20000"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_src_env())
+    assert proc.stdout.readline() == b"0:-1/12\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize("request_code", [

@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+import re
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -7,6 +10,7 @@ import pytest
 
 import hclassnum
 
+ROOT = Path(__file__).resolve().parents[1]
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(hclassnum.__path__))
 
 # names deleted from the public API, by the module that used to define them
@@ -50,10 +54,32 @@ def test_removed_series_methods_stay_absent():
         assert not hasattr(hclassnum.QSeries, name), name
 
 
+def _pyproject() -> dict:
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    return read_configuration(ROOT / "pyproject.toml")
+
+
 # older setuptools call [tool.setuptools] in pyproject.toml a beta feature
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_pyproject_reads_its_version_off_the_package():
-    from setuptools.config.pyprojecttoml import read_configuration
+    assert _pyproject()["project"]["version"] == hclassnum.__version__
 
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    assert read_configuration(pyproject)["project"]["version"] == hclassnum.__version__
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_test_extras_name_every_module_the_tests_import():
+    # top-level modules imported anywhere in the tests and the benchmark,
+    # less the standard library, the package and the files beside them
+    files = [f for d in ("tests", "perfbench") for f in (ROOT / d).rglob("*.py")]
+    imported = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    imported -= set(sys.stdlib_module_names) | {"hclassnum"} | {f.stem for f in files}
+    extras = _pyproject()["project"]["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req)[0].lower().replace("-", "_")
+                for req in extras}
+    assert imported == declared

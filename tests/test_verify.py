@@ -38,13 +38,11 @@ def test_group_index_pinned():
 
 
 def test_sturm_bound_pinned():
-    assert sturm_bound(2, GroupSpec(36)) == 12
-    assert sturm_bound(2, GroupSpec(144)) == 48
-    assert sturm_bound(2, GroupSpec(144, 6)) == 96
-    assert sturm_bound(2, GroupSpec(256)) == 64
-    assert sturm_bound(2, GroupSpec(256, 8)) == 256
-    with pytest.raises(ValueError):
-        sturm_bound(1, GroupSpec(4))
+    assert sturm_bound(GroupSpec(36)) == 12
+    assert sturm_bound(GroupSpec(144)) == 48
+    assert sturm_bound(GroupSpec(144, 6)) == 96
+    assert sturm_bound(GroupSpec(256)) == 64
+    assert sturm_bound(GroupSpec(256, 8)) == 256
 
 
 def test_group_spec_validates():
@@ -107,7 +105,7 @@ def test_both_lhs_pipelines_agree(spec):
                          ids=lambda s: s.name)
 def test_strided_product_equals_product_then_u4(spec):
     # the product identity_lhs takes at overshoot 16, built both ways
-    inner = 4 * (16 * sturm_bound(2, spec.group) + 1) - 3
+    inner = 4 * (16 * sturm_bound(spec.group) + 1) - 3
     h, theta = hurwitz_series(inner), theta_mM(spec.m, spec.modulus, inner)
     assert h.mul_u(theta, 4) == (h * theta).u_operator(4)
 
