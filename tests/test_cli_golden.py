@@ -117,8 +117,8 @@ def _record(argv):
 
 @pytest.fixture(autouse=True)
 def _fixed_usage_width(monkeypatch):
-    # argparse wraps its usage lines to the terminal width
-    monkeypatch.setenv("COLUMNS", "80")
+    # argparse wraps its usage lines to the terminal width; at 200 none wraps
+    monkeypatch.setenv("COLUMNS", "200")
 
 
 def test_golden_file_lists_exactly_these_invocations():
@@ -132,7 +132,7 @@ def test_cli_output_is_byte_identical(argv):
 
 
 if __name__ == "__main__":
-    os.environ["COLUMNS"] = "80"
+    os.environ["COLUMNS"] = "200"
     golden = {_key(argv): _record(argv) for argv in INVOCATIONS}
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
     print(f"wrote {len(golden)} entries to {GOLDEN}")
