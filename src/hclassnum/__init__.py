@@ -31,7 +31,6 @@ from .sums import (
 )
 from .verify import (
     GroupSpec,
-    IdentityReport,
     group_index,
     sturm_bound,
     verify_classical,
@@ -49,7 +48,6 @@ __all__ = [
     "DirichletCharacter",
     "FormulaResult",
     "GroupSpec",
-    "IdentityReport",
     "PrimeRepresentation",
     "QSeries",
     "build_table",

@@ -317,8 +317,8 @@ def _cmd_hsum(args: argparse.Namespace) -> int:
 def _report_text(report: dict) -> str:
     status = "ok" if report["verdict"] else "FAILED"
     extra = ""
-    if "bound" in report:
-        extra = f", bound {report['bound']}"
+    if "bound" in report["details"]:
+        extra = f", bound {report['details']['bound']}"
     return (f"{report['name']}: {status} "
             f"(checked {report['checked']}{extra}, "
             f"mismatches {report['mismatch_count']})")

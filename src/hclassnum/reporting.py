@@ -1,9 +1,12 @@
-"""Small shared report type for the verification suites.
+"""The one report type of every verification suite.
 
 CheckReport is a plain mutable class with __slots__: every report gets its
-own mismatches list and details dict.  Rationals are serialized as
-canonical Fraction strings ("7", "-1/12") so that report JSON never
-contains floating point.
+own mismatches list and details dict.  Every suite's JSON has the same keys,
+name, checked, mismatch_count, mismatches, details and verdict; what a suite
+adds goes inside details.  A verdict needs no mismatch and more checks than
+details["bound"] (0 if absent): a Sturm check short of its bound is false.
+Rationals are serialized as canonical Fraction strings ("7", "-1/12") so
+that report JSON never contains floating point.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ class CheckReport:
 
     @property
     def verdict(self) -> bool:
-        return not self.mismatches and self.checked > 0
+        return not self.mismatches and self.checked > self.details.get("bound", 0)
 
     def to_dict(self) -> dict:
         return {

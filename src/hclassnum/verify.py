@@ -30,6 +30,8 @@ bookkeeping bugs.  Groups are Gamma_0(N1) intersect Gamma_1(N2) with index
 For the cases where the sieved theta forces Gamma_1 level (m = 1, 2, 3 for
 M = 6; m = 1, 3 for M = 8) the bound is recomputed from that larger index
 rather than reusing the Gamma_0 bound; conservative costs nothing here.
+Each check's CheckReport records the group, weight, index and bound in its
+details; the bound there keeps a check that stops short of it from passing.
 
 verify_lemmas exercises the lattice-sum layer itself: the literal mu and
 Lambda sums against their divisor-sum closed forms.  One walk of the lattice
@@ -57,14 +59,13 @@ from .numtheory import (
     primes_up_to,
 )
 from .qseries import QSeries
-from .reporting import CheckReport, jsonable
+from .reporting import CheckReport
 from .sums import _literal_rows, _mu_closed_rows, lambda_u4_twist
 
 __all__ = [
     "GroupSpec",
     "group_index",
     "sturm_bound",
-    "IdentityReport",
     "IdentitySpec",
     "MOD6_IDENTITIES",
     "MOD8_IDENTITIES",
@@ -107,37 +108,6 @@ def group_index(group: GroupSpec) -> int:
 def sturm_bound(group: GroupSpec) -> int:
     """Agreement of coefficients 0..bound forces equality at weight 2."""
     return 2 * group_index(group) // 12
-
-
-class IdentityReport:
-    """Result of one coefficientwise identity check."""
-
-    __slots__ = ("name", "group", "bound", "checked", "mismatches")
-
-    def __init__(self, name: str, group: GroupSpec, bound: int, checked: int,
-                 mismatches: list[tuple[int, Fraction, Fraction]]) -> None:
-        self.name = name
-        self.group = group
-        self.bound = bound
-        self.checked = checked
-        self.mismatches = mismatches
-
-    @property
-    def verdict(self) -> bool:
-        return not self.mismatches and self.checked >= self.bound + 1
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "group": {"n1": self.group.n1, "n2": self.group.n2},
-            "weight": 2,
-            "index": group_index(self.group),
-            "bound": self.bound,
-            "checked": self.checked,
-            "mismatch_count": len(self.mismatches),
-            "mismatches": jsonable(self.mismatches),
-            "verdict": self.verdict,
-        }
 
 
 class IdentitySpec(NamedTuple):
@@ -220,7 +190,7 @@ def identity_rhs(spec: IdentitySpec, precision: int) -> QSeries:
     return total
 
 
-def verify_identity(spec: IdentitySpec, overshoot: int = 4) -> IdentityReport:
+def verify_identity(spec: IdentitySpec, overshoot: int = 4) -> CheckReport:
     """Check one identity to overshoot times its Sturm bound."""
     if overshoot < 1:
         raise ValueError("overshoot must be >= 1")
@@ -231,21 +201,17 @@ def verify_identity(spec: IdentitySpec, overshoot: int = 4) -> IdentityReport:
     mismatches = [] if lhs == rhs else [
         (n, lhs[n], rhs[n]) for n in range(precision) if lhs[n] != rhs[n]
     ]
-    return IdentityReport(
-        name=spec.name,
-        group=spec.group,
-        bound=bound,
-        checked=precision,
-        mismatches=mismatches,
-    )
+    group = {"n1": spec.group.n1, "n2": spec.group.n2}
+    details = {"group": group, "weight": 2, "index": group_index(spec.group), "bound": bound}
+    return CheckReport(spec.name, precision, mismatches, details)
 
 
-def verify_mod6(overshoot: int = 4) -> list[IdentityReport]:
+def verify_mod6(overshoot: int = 4) -> list[CheckReport]:
     """The four identities for modulus 6 (m = 0, 1, 2, 3)."""
     return [verify_identity(spec, overshoot) for spec in MOD6_IDENTITIES]
 
 
-def verify_mod8(overshoot: int = 4) -> list[IdentityReport]:
+def verify_mod8(overshoot: int = 4) -> list[CheckReport]:
     """The five identities for modulus 8 (m = 0, ..., 4)."""
     return [verify_identity(spec, overshoot) for spec in MOD8_IDENTITIES]
 

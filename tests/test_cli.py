@@ -181,7 +181,22 @@ def test_verify_suites(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["result"]["all_verdicts_true"] is True
-    assert [r["bound"] for r in payload["reports"]] == [48, 96, 96, 96]
+    assert [r["details"]["bound"] for r in payload["reports"]] == [48, 96, 96, 96]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "all", "--pmax", "100"),
+    ("verify", "--suite", "ec", "--pmax", "60"),
+    ("cross-check", "--modulus", "8", "--pmax", "300"),
+])
+def test_every_json_report_has_the_same_six_keys(capsys, argv):
+    code, out, _ = invoke(capsys, *argv, "--format", "json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert reports
+    for report in reports:
+        assert list(report) == ["name", "checked", "mismatch_count",
+                                "mismatches", "details", "verdict"]
 
 
 def test_verify_all_default_invocation(capsys):

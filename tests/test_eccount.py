@@ -118,7 +118,6 @@ def test_curve_count_identity_small():
     assert report.checked == sum(2 * isqrt(4 * p) for p in (5, 7, 11, 13))
 
 
-@pytest.mark.slow
 def test_curve_count_identity_extended():
     # every prime below the ec-traces cap of 500, as the curves benchmark runs it
     report = verify_curve_counts(499)

@@ -19,6 +19,7 @@ REMOVED = {
     "formulas": ("h_mod6", "h_mod8", "MOD6_BRANCHES", "MOD8_BRANCHES"),
     "eccount": ("TraceDistribution",),
     "forms": ("theta0", "theta_weighted"),
+    "verify": ("IdentityReport",),
 }
 
 

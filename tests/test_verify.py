@@ -73,22 +73,28 @@ def test_check_reports_do_not_share_defaults():
     assert second.verdict and not first.verdict
 
 
+def test_verdict_needs_more_coefficients_than_the_bound():
+    # Sturm: agreement proves nothing until coefficients 0..bound all agree
+    assert not CheckReport("x", 48, details={"bound": 48}).verdict
+    assert CheckReport("x", 49, details={"bound": 48}).verdict
+
+
 def test_mod6_reports():
     reports = verify_mod6(overshoot=1)
-    assert [r.bound for r in reports] == [48, 96, 96, 96]
+    assert [r.details["bound"] for r in reports] == [48, 96, 96, 96]
     for r in reports:
         assert r.verdict, (r.name, r.mismatches[:3])
-        assert r.checked == r.bound + 1
-        assert r.bound == 2 * group_index(r.group) // 12
+        assert r.checked == r.details["bound"] + 1
+        assert r.details["bound"] == 2 * group_index(GroupSpec(**r.details["group"])) // 12
         assert not r.mismatches
 
 
 def test_mod8_reports():
     reports = verify_mod8(overshoot=1)
-    assert [r.bound for r in reports] == [64, 256, 64, 256, 64]
+    assert [r.details["bound"] for r in reports] == [64, 256, 64, 256, 64]
     for r in reports:
         assert r.verdict, (r.name, r.mismatches[:3])
-        assert r.bound == 2 * group_index(r.group) // 12
+        assert r.details["bound"] == 2 * group_index(GroupSpec(**r.details["group"])) // 12
 
 
 @pytest.mark.parametrize("spec", MOD6_IDENTITIES + MOD8_IDENTITIES,
@@ -130,9 +136,9 @@ def test_report_dict_shape():
     report = verify_identity(MOD6_IDENTITIES[0], overshoot=1)
     d = report.to_dict()
     assert d["verdict"] is True
-    assert d["bound"] == 48
-    assert d["group"] == {"n1": 144, "n2": 1}
-    assert d["index"] == 288
+    assert d["details"]["bound"] == 48
+    assert d["details"]["group"] == {"n1": 144, "n2": 1}
+    assert d["details"]["index"] == 288
     assert d["mismatches"] == []
 
 
