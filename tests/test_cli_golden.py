@@ -30,6 +30,8 @@ INVOCATIONS = [
     ["hurwitz-table", "--limit", "4"],
     ["hurwitz-table", "--limit", "4", "--format", "json"],
     ["hurwitz-table", "--limit", "200", "--format", "json"],
+    # every 12*H(n) up to the CLI cap, byte for byte
+    ["hurwitz-table", "--limit", "400001", "--format", "json"],
     ["qexp", "--form", "psi3", "--terms", "60"],
     ["qexp", "--form", "theta:2:6", "--terms", "60", "--format", "json"],
     ["qexp", "--form", "E2", "--terms", "30", "--format", "json"],
