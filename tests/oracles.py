@@ -2,8 +2,8 @@
 
 These deliberately avoid the production code paths: class numbers come from
 a box scan plus canonical reduction instead of direct reduced enumeration,
-the H-table from one strided walk per reduced-form tail instead of merged
-columns, products from literal double sums over Fractions instead of the
+the H-table from one strided walk per reduced-form tail, at every n,
+instead of merged columns and the class-number relation at l = 2, products from literal double sums over Fractions instead of the
 integer operator pipeline, restricted-sum series one t-scan per
 coefficient instead of (H * theta_{m,M}) | U_4, lambda coefficients one n
 at a time from its divisors instead of one sweep over all factorizations,
@@ -88,7 +88,8 @@ def hurwitz_naive(n: int) -> Fraction:
 def build_table_strides(limit: int) -> list[int]:
     """12*H(n) for n < limit, one element update per reduced form.
 
-    Each (a, b) walks its own c > a tail n = 4ac - b^2 with stride 4a.
+    Each (a, b) walks its own c > a tail n = 4ac - b^2 with stride 4a.  Every
+    n is counted, none derived from a relation between class numbers.
     """
     v = [0] * limit
     v[0] = -1

@@ -75,6 +75,63 @@ def test_form_count_matches_naive_oracle_past_the_table():
         assert Fraction(_forms12(n), 12) == hurwitz_naive(n), n
 
 
+def test_form_count_matches_the_derived_entries_up_to_the_cli_cap():
+    # build_table reads n = 0, 12 (mod 16) off smaller entries by the
+    # relation at l = 2; _forms12 counts each one from its own reduced forms.
+    # The samples include 2^18, 3*4^8 and 7*4^7, derived down long chains
+    table = table_at_least(4 * 10**5 + 1)
+    samples = [*range(12, 4 * 10**5 + 1, 16 * 997), *range(16, 4 * 10**5 + 1, 16 * 1009),
+               2**18, 3 * 4**8, 7 * 4**7, 399_996, 400_000]
+    for n in samples:
+        assert n % 16 in (0, 12), n
+        assert _forms12(n) == table[n], n
+
+
+# H(l^2 n) = (l + 1 - (-n/l)) H(n) - l H(n/l^2) for n > 0, n = 0, 3 (mod 4),
+# every prime l, with H(n/l^2) = 0 unless l^2 | n (Cox, Primes of the form
+# x^2 + ny^2, Thm 7.24, summed over the conductors).  build_table uses it
+# only at l = 2, so at l = 3, 5, 7 it checks the table a third way
+RELATION_PRIMES = (3, 5, 7)
+RELATION_LIMIT = 2 * 10**5
+
+
+def relation_checks(limit):
+    """The (l, n) of every check of the relation with l^2 n < limit."""
+    return [(ell, n) for ell in RELATION_PRIMES
+            for n in range(3, (limit - 1) // ell**2 + 1) if n % 4 in (0, 3)]
+
+
+def relation_failures(table, limit):
+    """The (l, n) at which the relation fails for 12*H read from table."""
+    failed = set()
+    for ell, n in relation_checks(limit):
+        # (-n/l) by Euler's criterion, in {0, 1, l - 1}
+        chi = pow(-n % ell, (ell - 1) // 2, ell)
+        chi = -1 if chi == ell - 1 else chi
+        lower = table[n // ell**2] if n % ell**2 == 0 else 0
+        if table[ell * ell * n] != (ell + 1 - chi) * table[n] - ell * lower:
+            failed.add((ell, n))
+    return failed
+
+
+def test_table_satisfies_the_class_number_relation_at_3_5_7():
+    assert relation_failures(table_at_least(RELATION_LIMIT), RELATION_LIMIT) == set()
+
+
+@pytest.mark.parametrize("entry", [12, 108, 7996, 22044])
+def test_class_number_relation_flags_a_wrong_derived_entry(entry):
+    # entry = 12 (mod 16) is one that build_table derives; each read of it,
+    # as l^2 n, n or n/l^2, has a nonzero coefficient, so an entry off by 12
+    # fails exactly the checks that read it
+    assert entry % 16 == 12
+    table = list(table_at_least(RELATION_LIMIT)[:RELATION_LIMIT])
+    table[entry] += 12
+    reading = {(ell, n) for ell, n in relation_checks(RELATION_LIMIT)
+               if entry in (ell * ell * n, n) or ell * ell * entry == n}
+    assert reading
+    assert relation_failures(table, RELATION_LIMIT) == reading
+
+
 def test_lookup_past_the_table_leaves_it_alone():
     from hclassnum import hurwitz as module
 
