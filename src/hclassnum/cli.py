@@ -53,9 +53,10 @@ _HURWITZ_MAX_N = 2 * 10**8
 _EC_MAX_P = 500
 # largest H-table limit: hurwitz-table --limit, and at most 4*pmax + 1 for
 # cross-check and the classical suite.  cross-check --modulus 8 --pmax 10^5
-# takes 1.3-1.7 s (30 MB; tested under 48 MB), hurwitz-table --limit 400001
-# 1.6-2.6 s (29 MB in text and in JSON, each tested under 48 MB); the table
-# build alone takes 1.0-1.3 s at 4*10^5 and 5.1 s at 8*10^5
+# takes 1.0-1.1 s (30 MB; tested under 48 MB), hurwitz-table --limit 400001
+# 1.2-1.6 s (29 MB in text and in JSON, each tested under 48 MB); the table
+# build alone takes 0.75-0.86 s at 4*10^5 and 2.3-2.7 s at 8*10^5 (fresh
+# processes, 3 runs each, 2 shared x86-64 cores, Python 3.11)
 _TABLE_MAX = 400_001
 _TABLE_MAX_PMAX = (_TABLE_MAX - 1) // 4
 # largest series precision: qexp --terms, lattice-sum --terms, and the

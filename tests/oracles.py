@@ -3,14 +3,15 @@
 These deliberately avoid the production code paths: class numbers come from
 a box scan plus canonical reduction instead of direct reduced enumeration,
 the H-table from one strided walk per reduced-form tail, at every n,
-instead of merged columns and the class-number relation at l = 2, products from literal double sums over Fractions instead of the
-integer operator pipeline, restricted-sum series one t-scan per
-coefficient instead of (H * theta_{m,M}) | U_4, lambda coefficients one n
-at a time from its divisors instead of one sweep over all factorizations,
-curve counts from every raw Weierstrass pair instead of one curve per
-j-invariant, primality from trial division, representations
-p = x^2 + n*y^2 from a scan over y instead of Cornacchia, and the CM forms
-psi_k from a theta product instead of lattice enumeration.
+instead of merged columns and the class-number relation at l = 2, products
+from literal double sums over Fractions instead of the integer operator
+pipeline, restricted-sum series one t-scan per coefficient instead of
+(H * theta_{m,M}) | U_4, lambda coefficients one n at a time from its
+divisors instead of one sweep over all factorizations, curve counts from
+every raw Weierstrass pair instead of one curve per j-invariant, primality
+from trial division, representations p = x^2 + n*y^2 from a scan over y
+instead of Cornacchia, and the CM forms psi_k from a theta product instead
+of lattice enumeration.
 """
 from __future__ import annotations
 
