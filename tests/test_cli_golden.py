@@ -96,6 +96,13 @@ INVOCATIONS = [
     ["verify", "--suite", "mod6", "--overshoot", "261"],
     ["verify", "--suite", "all", "--overshoot", "98"],
     ["ec-traces", "--p", "501"],
+    # every refusal of a value outside an option's choices, and of an unknown
+    # command (`lattice-sum --variant H` is above)
+    ["hurwitz", "23", "--format", "xml"],
+    ["verify", "--suite", "bogus"],
+    ["hsum", "--modulus", "7", "--m", "0", "--p", "5"],
+    ["cross-check", "--modulus", "7"],
+    ["frobnicate"],
 ]
 
 
