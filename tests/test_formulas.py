@@ -1,6 +1,4 @@
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -307,22 +305,6 @@ def test_branch_labels_keep_their_printed_order():
         "m odd (8), p=5,7 (8)",
         "m=3,5 (8), p=1,3 (8)",
     )
-
-
-@pytest.mark.parametrize("M", [6, 8])
-def test_prime_table_script_prints_every_prime_without_mismatch(M, capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_prime_tables.py"
-    spec = importlib.util.spec_from_file_location("reproduce_prime_tables", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    script.print_table(M, 60)
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == f"H_(m,{M})(p):"
-    rows = [line.split() for line in lines[2:] if line]
-    assert [int(row[0]) for row in rows] == \
-        [p for p in primes_up_to(60) if p >= FIRST_PRIME[M]]
-    assert all(len(row) == M + 1 for row in rows)
-    assert "*" not in "".join(lines)
 
 
 def test_cross_check_rejects_other_moduli():
