@@ -33,11 +33,9 @@ residue share a column; the builder merges them, so each column is walked
 once, in runs between consecutive tail starts, each run one slice of the
 table rebuilt with the weight of the tails begun so far.  At limit 2*10^5
 that is 4.0M element updates in 30,888 runs, all inside list
-comprehensions, against 5.7M for the merged walk of every tail and 8.0M
-single-element statements for one walk per tail.  A single H(n) that the
-shared table does not cover walks only the reduced forms of discriminant -n
-(Cohen, GTM 138, Algorithm 5.3.5): O(n) time, and the table is left as it
-is.
+comprehensions.  A single H(n) that the shared table does not cover walks
+only the reduced forms of discriminant -n (Cohen, GTM 138, Algorithm 5.3.5):
+O(n) time, and the table is left as it is.
 
 The restricted sums are
 
