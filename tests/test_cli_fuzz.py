@@ -25,8 +25,7 @@ _BAD_FORMS = st.one_of(
     st.text(max_size=8),
 )
 # the subcommands the parser offers, in a fixed order
-_COMMANDS = sorted(next(action.choices for action in cli.build_parser()._actions
-                        if action.dest == "command"))
+_COMMANDS = sorted(cli.build_parser().commands)
 
 
 @st.composite
